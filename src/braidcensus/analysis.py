@@ -78,13 +78,12 @@ def bounds_table(
     threads: int | None = None,
     cache: "census_mod.CensusCache | None" = None,
 ) -> list[BoundReport]:
-    reports = []
-    for k in range(kmax + 1):
-        g = None
-        if with_census:
-            g = census_mod.count_actual(n, k, threads=threads, cache=cache).g
-        reports.append(BoundReport.build(n, k, g))
-    return reports
+    if kmax < 0:
+        raise ValueError(f"need kmax >= 0, got {kmax}")
+    if with_census:
+        records = census_mod.count_table(n, kmax, threads=threads, cache=cache)
+        return [BoundReport.build(n, r.k, r.g) for r in records]
+    return [BoundReport.build(n, k, None) for k in range(kmax + 1)]
 
 
 def witness_a_for_s(sv: SVector, verify: bool = True) -> VirtualCoordinates:
@@ -138,6 +137,8 @@ def ratio_series(
         rho = DEFAULT_RESIDUE.get(n, 2)
     if rho < 1:
         raise ValueError(f"residue modulus must be >= 1, got {rho}")
+    if kmax < 0:
+        raise ValueError(f"need kmax >= 0, got {kmax}")
     if source == "closedform":
         if n == 2:
             values = [g2(k) for k in range(kmax + 1)]
@@ -145,10 +146,8 @@ def ratio_series(
             table = totient_sieve(max(kmax + 2, 3))
             values = [g3_totient(k, table) for k in range(kmax + 1)]
     else:
-        values = [
-            census_mod.count_actual(n, k, threads=threads, cache=cache).g
-            for k in range(kmax + 1)
-        ]
+        records = census_mod.count_table(n, kmax, threads=threads, cache=cache)
+        values = [r.g for r in records]
     power = 2 * (n - 2)
     points = []
     for k in range(1, kmax + 1):

@@ -4,12 +4,25 @@ The count for fixed (n, k) splits over interior s-vectors; one s-vector is
 one work unit, dispatched either inline or over a process pool (CPython
 threads would serialise on the interpreter lock, so "threads" here are
 worker processes; results are summed, so the outcome is independent of
-worker count and scheduling).
+worker count and scheduling).  A call to count_table or count_actual
+creates at most one pool, shared by all of its rows, and shuts it down
+before it returns or raises.  No pool is made with one worker, or when
+every row is a cache hit or has at most one work unit.
 
 Within one s-vector, offset tuples are walked in lexicographic order with
 a snapshot stack: the union-find state after applying zones 1..i is copied
 once per prefix, so changing a late offset never replays early zones.  Arc
 endpoint pairs per (zone, offset) are precomputed once per s-vector.
+
+Every tuple has exactly one arc fewer than nodes, so it is connected iff
+each arc joins two different components.  An arc that finds its endpoints
+already joined closes a loop, and no later zone can open it again: the
+prefix is dead and its whole subtree is dropped (the loop-pruning rule of
+the meander transfer matrix, I. Jensen, J. Phys. A 33 (2000) 5953).
+Equivalently, after zones 1..i a prefix is live iff its component count
+is s_i + 1 plus the nodes right of line i.  tuples_examined counts every
+tuple the walk covers, evaluated or dropped with a dead prefix, so in
+plain mode it equals the whole virtual-tuple space.
 
 Optional pruning halves the work twice, and is off by default:
   * s-vectors are enumerated up to reversal, doubling the count of
@@ -19,7 +32,7 @@ Optional pruning halves the work twice, and is off by default:
     images (also connectivity-preserving), one representative per pair is
     evaluated, and non-fixed pairs count twice.
 Pruned and plain mode must agree; that equality is enforced by tests, not
-assumed.
+assumed.  In pruned mode tuples_examined counts the representatives.
 
 Counts are exact (Python integers are unbounded).  The optional cache is a
 UTF-8 JSON-lines file, one object per record with keys n, k, g, mode,
@@ -32,12 +45,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .coords import SVector, a_range_size, enumerate_s_vectors
+from .coords import SVector, a_range_size, count_s_vectors, enumerate_s_vectors
 
 ENGINE_VERSION = "braidcensus-1"
 
@@ -72,39 +86,28 @@ class CensusRecord:
         )
 
 
-def _zone_arc_pairs(bases: list[int], s: tuple[int, ...], i: int, a: int) -> list[int]:
-    """Flat [u0, v0, u1, v1, ...] node pairs for zone i at offset a."""
+def _zone_arc_pairs(
+    bases: list[int], s: tuple[int, ...], i: int, a: int
+) -> list[tuple[int, int]]:
+    """(u, v) node pairs of the arcs of zone i at offset a."""
     sl, sr = s[i - 1], s[i]
     bl, br = bases[i - 1] - 1, bases[i] - 1  # pre-shifted for 1-based j
     b = a + abs(sl - sr)
-    out: list[int] = []
-    for j in range(1, a + 1):
-        out.append(bl + j)
-        out.append(br + j)
+    out = [(bl + j, br + j) for j in range(1, a + 1)]
     if sl > sr:
-        for j in range(a + 1, b + 1):
-            out.append(bl + j)
-            out.append(bl + 2 * b + 1 - j)
+        out += [(bl + j, bl + 2 * b + 1 - j) for j in range(a + 1, b + 1)]
         shift = 2 * (sl - sr)
-        for j in range(a + 1, 2 * sr + 2):
-            out.append(bl + j + shift)
-            out.append(br + j)
+        out += [(bl + j + shift, br + j) for j in range(a + 1, 2 * sr + 2)]
     elif sr > sl:
-        for j in range(a + 1, b + 1):
-            out.append(br + j)
-            out.append(br + 2 * b + 1 - j)
+        out += [(br + j, br + 2 * b + 1 - j) for j in range(a + 1, b + 1)]
         shift = 2 * (sr - sl)
-        for j in range(a + 1, 2 * sl + 2):
-            out.append(bl + j)
-            out.append(br + j + shift)
+        out += [(bl + j, br + j + shift) for j in range(a + 1, 2 * sl + 2)]
     else:
-        for j in range(a + 1, 2 * sl + 2):
-            out.append(bl + j)
-            out.append(br + j)
+        out += [(bl + j, br + j) for j in range(a + 1, 2 * sl + 2)]
     return out
 
 
-def _zone_tables(sv: SVector) -> tuple[list[list[list[int]]], int]:
+def _zone_tables(sv: SVector) -> tuple[list[list[list[tuple[int, int]]]], int]:
     s = sv.full()
     n = sv.n
     bases = [0]
@@ -120,67 +123,38 @@ def _zone_tables(sv: SVector) -> tuple[list[list[list[int]]], int]:
     return tables, bases[n + 1]
 
 
-def _count_plain(sv: SVector) -> tuple[int, int]:
-    """(connected count, tuples examined) for one s-vector, all offsets."""
-    tables, node_count = _zone_tables(sv)
-    depth = len(tables)
-    actual = 0
-    examined = 0
-    # explicit DFS stack of (zone index, union-find parents, component count)
-    stack: list[tuple[int, list[int], int]] = [(0, list(range(node_count)), node_count)]
-    while stack:
-        zi, parent0, comp0 = stack.pop()
-        last = zi == depth - 1
-        for pairs in tables[zi]:
-            parent = parent0.copy()
-            comp = comp0
-            idx = 0
-            end = len(pairs)
-            while idx < end:
-                u = pairs[idx]
-                v = pairs[idx + 1]
-                idx += 2
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
-                if u != v:
-                    if u < v:
-                        parent[v] = u
-                    else:
-                        parent[u] = v
-                    comp -= 1
-            if last:
-                examined += 1
-                if comp == 1:
-                    actual += 1
-            else:
-                stack.append((zi + 1, parent, comp))
-    return actual, examined
+def _walk(sv: SVector, mirror: bool) -> tuple[int, int]:
+    """(connected count, tuples examined) for one s-vector.
 
-
-def _count_mirror_pruned(sv: SVector) -> tuple[int, int]:
-    """Like _count_plain, but evaluates one offset tuple per mirror pair.
-
-    The mirror maps a_i to (range_i - 1) - a_i.  Walking offsets in
-    lexicographic order, a prefix decides the comparison with its mirror
-    at the first position where 2 a_i != range_i - 1: smaller means this
-    tuple represents a pair (weight 2), larger means its mirror was
-    already counted (skip the whole subtree).  Fully central tuples are
-    their own mirror (weight 1).
+    A prefix whose latest zone closed a loop is dropped with its whole
+    subtree; the subtree's leaves still count as examined.  With mirror,
+    one offset tuple per mirror pair is evaluated: a_i maps to
+    (range_i - 1) - a_i, and walking offsets in lexicographic order a
+    prefix decides the comparison with its mirror at the first position
+    where 2 a_i != range_i - 1.  Smaller means this tuple represents a
+    pair (weight 2), larger means its mirror was already counted (skip the
+    whole subtree).  Fully central tuples are their own mirror (weight 1).
     """
     tables, node_count = _zone_tables(sv)
-    depth = len(tables)
+    last = len(tables) - 1
+    # leaves[zi]: offset tuples below one prefix that ends at zone zi;
+    # central[zi]: the mirror representatives among them when the prefix
+    # is still its own mirror (half, plus the all-central suffix if any)
+    leaves = [1] * len(tables)
+    odd = [True] * len(tables)
+    for zi in range(last, 0, -1):
+        size = len(tables[zi])
+        leaves[zi - 1] = leaves[zi] * size
+        odd[zi - 1] = odd[zi] and size % 2 == 1
+    central = [(count + o) // 2 for count, o in zip(leaves, odd)]
+    pair_weight = 2 if mirror else 1
     actual = 0
     examined = 0
-    stack: list[tuple[int, list[int], int, bool]] = [
-        (0, list(range(node_count)), node_count, True)
-    ]
+    # explicit DFS stack of (zone index, union-find parents, prefix is its
+    # own mirror so far)
+    stack = [(0, list(range(node_count)), mirror)]
     while stack:
-        zi, parent0, comp0, undecided0 = stack.pop()
-        last = zi == depth - 1
+        zi, parent0, undecided0 = stack.pop()
         table = tables[zi]
         top = len(table) - 1
         for a, pairs in enumerate(table):
@@ -191,46 +165,36 @@ def _count_mirror_pruned(sv: SVector) -> tuple[int, int]:
             else:
                 undecided = False
             parent = parent0.copy()
-            comp = comp0
-            idx = 0
-            end = len(pairs)
-            while idx < end:
-                u = pairs[idx]
-                v = pairs[idx + 1]
-                idx += 2
+            for u, v in pairs:
                 while parent[u] != u:
                     parent[u] = parent[parent[u]]
                     u = parent[u]
                 while parent[v] != v:
                     parent[v] = parent[parent[v]]
                     v = parent[v]
-                if u != v:
-                    if u < v:
-                        parent[v] = u
-                    else:
-                        parent[u] = v
-                    comp -= 1
-            if last:
-                examined += 1
-                if comp == 1:
-                    actual += 1 if undecided else 2
+                if u == v:
+                    break  # this arc closes a loop
+                if u < v:
+                    parent[v] = u
+                else:
+                    parent[u] = v
             else:
-                stack.append((zi + 1, parent, comp, undecided))
+                if zi < last:
+                    stack.append((zi + 1, parent, undecided))
+                    continue
+                actual += 1 if undecided else pair_weight
+            examined += central[zi] if undecided else leaves[zi]
     return actual, examined
 
 
 def count_for_s_vector(sv: SVector) -> int:
     """Connected offset tuples over one s-vector (the parallel work unit)."""
-    return _count_plain(sv)[0]
+    return _walk(sv, mirror=False)[0]
 
 
 def _worker(args: tuple[int, tuple[int, ...], str, int]) -> tuple[int, int]:
     n, interior, mode, weight = args
-    sv = SVector(n=n, s=interior)
-    if mode == MODE_PRUNED:
-        actual, examined = _count_mirror_pruned(sv)
-    else:
-        actual, examined = _count_plain(sv)
+    actual, examined = _walk(SVector(n=n, s=interior), mirror=mode == MODE_PRUNED)
     return actual * weight, examined
 
 
@@ -261,6 +225,74 @@ def _work_units(n: int, k: int, mode: str) -> Iterable[tuple[int, tuple[int, ...
 ProgressFn = Callable[[int, int, tuple[int, ...]], None]
 
 
+def _count_row(
+    n: int,
+    k: int,
+    mode: str,
+    units: list[tuple[int, tuple[int, ...], str, int]],
+    pool: ProcessPoolExecutor | None,
+    workers: int,
+    progress: ProgressFn | None,
+) -> CensusRecord:
+    started = time.perf_counter()
+    if pool is None or len(units) <= 1:
+        results = map(_worker, units)
+    else:
+        chunk = max(1, len(units) // (8 * workers))
+        results = pool.map(_worker, units, chunksize=chunk)
+    total = 0
+    examined = 0
+    for done, (unit, (part, part_examined)) in enumerate(zip(units, results), 1):
+        total += part
+        examined += part_examined
+        if progress is not None:
+            progress(done, len(units), unit[1])
+    return CensusRecord(
+        n=n,
+        k=k,
+        g=total,
+        mode=mode,
+        elapsed_ms=int((time.perf_counter() - started) * 1000),
+        tuples_examined=examined,
+    )
+
+
+def _count_rows(
+    n: int,
+    ks: Iterable[int],
+    threads: int | None,
+    prune: bool,
+    cache: "CensusCache | None",
+    progress: ProgressFn | None,
+) -> list[CensusRecord]:
+    """Census rows for n and each k, sharing at most one worker pool."""
+    mode = MODE_PRUNED if prune else MODE_PLAIN
+    workers = threads if threads is not None else default_threads()
+    if workers < 1:
+        raise ValueError(f"thread count must be >= 1, got {workers}")
+    hits = {k: cache.lookup(n, k) if cache is not None else None for k in ks}
+    # sized for the widest row to compute (mirror pruning only narrows rows)
+    widest = max(
+        (count_s_vectors(n, k) for k, hit in hits.items() if hit is None), default=0
+    )
+    pool = None
+    records = []
+    try:
+        for k, record in hits.items():
+            if record is None:
+                units = list(_work_units(n, k, mode))
+                if pool is None and workers > 1 and len(units) > 1:
+                    pool = ProcessPoolExecutor(max_workers=min(workers, widest))
+                record = _count_row(n, k, mode, units, pool, workers, progress)
+                if cache is not None:
+                    cache.add(record)
+            records.append(record)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return records
+
+
 def count_actual(
     n: int,
     k: int,
@@ -273,47 +305,7 @@ def count_actual(
     """Exact g(n, k), optionally parallel, pruned, and cached."""
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    if cache is not None:
-        hit = cache.lookup(n, k)
-        if hit is not None:
-            return hit
-    mode = MODE_PRUNED if prune else MODE_PLAIN
-    workers = threads if threads is not None else default_threads()
-    if workers < 1:
-        raise ValueError(f"thread count must be >= 1, got {workers}")
-    units = list(_work_units(n, k, mode))
-    started = time.perf_counter()
-    total = 0
-    examined = 0
-    done = 0
-
-    def consume(results: Iterable[tuple[int, int]]) -> None:
-        nonlocal total, examined, done
-        for unit, (part, part_examined) in zip(units, results):
-            total += part
-            examined += part_examined
-            done += 1
-            if progress is not None:
-                progress(done, len(units), unit[1])
-
-    if workers == 1 or len(units) <= 1:
-        consume(map(_worker, units))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(units))) as pool:
-            chunk = max(1, len(units) // (8 * workers))
-            consume(pool.map(_worker, units, chunksize=chunk))
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    record = CensusRecord(
-        n=n,
-        k=k,
-        g=total,
-        mode=mode,
-        elapsed_ms=elapsed_ms,
-        tuples_examined=examined,
-    )
-    if cache is not None:
-        cache.add(record)
-    return record
+    return _count_rows(n, [k], threads, prune, cache, progress)[0]
 
 
 def count_table(
@@ -325,13 +317,10 @@ def count_table(
     cache: "CensusCache | None" = None,
     progress: ProgressFn | None = None,
 ) -> list[CensusRecord]:
-    """Census rows for k = 0 .. kmax."""
-    return [
-        count_actual(
-            n, k, threads=threads, prune=prune, cache=cache, progress=progress
-        )
-        for k in range(kmax + 1)
-    ]
+    """Census rows for k = 0 .. kmax, all computed on one worker pool."""
+    if n < 1 or kmax < 0:
+        raise ValueError(f"need n >= 1 and kmax >= 0, got n={n}, kmax={kmax}")
+    return _count_rows(n, range(kmax + 1), threads, prune, cache, progress)
 
 
 def table_csv(records: list[CensusRecord]) -> str:
@@ -345,24 +334,27 @@ class CensusCache:
 
     Loading tolerates unknown keys and blank lines; duplicate keys must
     agree on g (the first record is kept).  Partial tables are resumable:
-    a lookup hit skips recomputation entirely.
+    a lookup hit skips recomputation entirely.  A final line without its
+    newline that does not parse is what a process killed mid-append leaves
+    behind: it is skipped with a warning on stderr and cut off by the next
+    add.  An unreadable line anywhere else is a hard error.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._records: dict[tuple[int, int], CensusRecord] = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise CacheConflictError(
-                            f"{path}:{lineno}: unreadable record: {exc}"
-                        ) from exc
+        self._torn_at: int | None = None  # file size without the torn tail
+        self._unterminated = False  # last record lacks its newline
+        if not os.path.exists(path):
+            return
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            raw = ""
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
                     record = CensusRecord(
                         n=int(obj["n"]),
                         k=int(obj["k"]),
@@ -371,7 +363,24 @@ class CensusCache:
                         elapsed_ms=int(obj.get("elapsed_ms", 0)),
                         engine_version=str(obj.get("engine_version", "unknown")),
                     )
-                    self._store(record, source=f"{path}:{lineno}")
+                except (ValueError, KeyError, TypeError) as exc:
+                    # only the final line can lack its newline
+                    if isinstance(exc, json.JSONDecodeError) and not raw.endswith("\n"):
+                        print(
+                            f"warning: {path}:{lineno}: ignoring incomplete final "
+                            f"record ({len(raw)} bytes); the next write removes it",
+                            file=sys.stderr,
+                        )
+                        size = os.fstat(fh.fileno()).st_size
+                        self._torn_at = size - len(raw.encode("utf-8"))
+                        break
+                    raise CacheConflictError(
+                        f"{path}:{lineno}: unreadable record: {exc}"
+                    ) from exc
+                self._store(record, source=f"{path}:{lineno}")
+        self._unterminated = (
+            raw != "" and not raw.endswith("\n") and self._torn_at is None
+        )
 
     def _store(self, record: CensusRecord, source: str) -> None:
         key = (record.n, record.k)
@@ -399,8 +408,15 @@ class CensusCache:
                 )
             return
         self._records[key] = record
+        line = record.to_json() + "\n"
+        if self._unterminated:
+            line = "\n" + line
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(record.to_json() + "\n")
+            if self._torn_at is not None:
+                fh.truncate(self._torn_at)
+            fh.write(line)
+        self._torn_at = None
+        self._unterminated = False
 
     def records(self) -> list[CensusRecord]:
         return sorted(self._records.values(), key=lambda r: (r.n, r.k))

@@ -35,10 +35,10 @@ def _open_cache(path: str | None) -> census.CensusCache | None:
     return census.CensusCache(path) if path else None
 
 
-def _progress_printer(n: int, k: int):
+def _progress_printer(n: int):
     def report(done: int, total: int, interior: tuple[int, ...]) -> None:
         print(
-            f"progress: n={n} k={k} s-vector {done}/{total} {interior}",
+            f"progress: n={n} k={sum(interior)} s-vector {done}/{total} {interior}",
             file=sys.stderr,
             flush=True,
         )
@@ -57,18 +57,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     cache = _open_cache(args.cache)
-    records = []
-    for k in range(args.kmax + 1):
-        records.append(
-            census.count_actual(
-                args.n,
-                k,
-                threads=args.threads,
-                prune=args.prune,
-                cache=cache,
-                progress=_progress_printer(args.n, k),
-            )
-        )
+    records = census.count_table(
+        args.n,
+        args.kmax,
+        threads=args.threads,
+        prune=args.prune,
+        cache=cache,
+        progress=_progress_printer(args.n),
+    )
     if args.format == "csv":
         sys.stdout.write(census.table_csv(records))
     else:

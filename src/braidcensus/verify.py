@@ -25,13 +25,22 @@ def _result(suite: str, checked: int, failures: list[str]) -> dict:
     }
 
 
+def _census_table(
+    n: int, kmax: int, threads: int | None, prune: bool = False
+) -> list[int]:
+    """g(n, k) for k = 0 .. kmax from one table; a negative kmax checks nothing."""
+    if kmax < 0:
+        return []
+    records = census.count_table(n, kmax, threads=threads, prune=prune)
+    return [r.g for r in records]
+
+
 def verify_b2(kmax: int = 200, threads: int | None = None) -> dict:
     """Census on 2 strands against the constant closed form."""
     failures = []
     checked = 0
-    for k in range(kmax + 1):
+    for k, got in enumerate(_census_table(2, kmax, threads)):
         checked += 1
-        got = census.count_actual(2, k, threads=threads).g
         want = closedform.g2(k)
         if got != want:
             failures.append(f"g(2,{k}) census={got} closedform={want}")
@@ -45,12 +54,11 @@ def verify_b3_closed_form(kmax: int = 30, threads: int | None = None) -> dict:
     failures = []
     checked = 0
     table = closedform.totient_sieve(kmax + 2)
-    for k in range(kmax + 1):
+    for k, via_census in enumerate(_census_table(3, kmax, threads)):
         checked += 1
         via_totient = closedform.g3_totient(k, table)
         via_c = closedform.g3_via_c(k)
         via_gamma = closedform.g3_via_gamma(k, table)
-        via_census = census.count_actual(3, k, threads=threads).g
         if not via_totient == via_c == via_gamma == via_census:
             failures.append(
                 f"g(3,{k}): totient={via_totient} pairs={via_c} "
@@ -120,9 +128,8 @@ def verify_bounds(
     failures = []
     checked = 0
     for n in ns:
-        for k in range(kmax + 1):
+        for k, g in enumerate(_census_table(n, kmax, threads)):
             checked += 1
-            g = census.count_actual(n, k, threads=threads).g
             report = analysis.BoundReport.build(n, k, g)
             if not report.verdict:
                 failures.append(
@@ -246,10 +253,10 @@ def verify_prune_consistency(
     failures = []
     checked = 0
     for n in range(1, nmax + 1):
-        for k in range(kmax + 1):
+        plains = _census_table(n, kmax, threads)
+        pruneds = _census_table(n, kmax, threads, prune=True)
+        for k, (plain, pruned) in enumerate(zip(plains, pruneds)):
             checked += 1
-            plain = census.count_actual(n, k, threads=threads, prune=False).g
-            pruned = census.count_actual(n, k, threads=threads, prune=True).g
             if plain != pruned:
                 failures.append(f"g({n},{k}): plain={plain} pruned={pruned}")
                 if len(failures) >= MAX_FAILURES:

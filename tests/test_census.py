@@ -198,3 +198,142 @@ def test_default_threads_env(monkeypatch):
         default_threads()
     monkeypatch.delenv("CENSUS_THREADS")
     assert default_threads() >= 1
+
+
+class TestWalker:
+    GRID = [(4, 10), (5, 8), (6, 6)]
+
+    def test_every_tuple_has_one_arc_fewer_than_nodes(self):
+        # the dead-prefix rule rests on this: a tuple is connected iff no
+        # arc joins two nodes that are already joined
+        from itertools import product
+
+        from braidcensus.census import _zone_tables
+
+        for n in range(1, 6):
+            for k in range(5):
+                for sv in enumerate_s_vectors(n, k):
+                    tables, node_count = _zone_tables(sv)
+                    for choice in product(*tables):
+                        assert sum(map(len, choice)) == node_count - 1, sv
+
+    def test_plain_examines_whole_space_and_agrees_with_pruned(self):
+        from braidcensus.coords import count_a_tuples
+
+        for n, kmax in self.GRID:
+            for k in range(kmax + 1):
+                plain = count_actual(n, k, threads=1)
+                pruned = count_actual(n, k, threads=1, prune=True)
+                virtual = sum(map(count_a_tuples, enumerate_s_vectors(n, k)))
+                assert plain.tuples_examined == virtual, (n, k)
+                assert plain.g == pruned.g, (n, k)
+
+
+@pytest.fixture()
+def pool_events(monkeypatch):
+    """Every construction and shutdown of a census worker pool, in order."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from braidcensus import census
+
+    events = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            events.append(("made", kwargs.get("max_workers")))
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            events.append(("shutdown",))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", CountingPool)
+    return events
+
+
+class TestTablePool:
+    def test_one_pool_for_a_multi_row_table(self, pool_events):
+        records = count_table(4, 6, threads=2)
+        assert pool_events == [("made", 2), ("shutdown",)]
+        assert [r.g for r in records] == [r.g for r in count_table(4, 6, threads=1)]
+
+    def test_no_pool_with_one_worker(self, pool_events):
+        count_table(4, 6, threads=1)
+        assert pool_events == []
+
+    def test_no_pool_on_an_all_hit_cache(self, pool_events, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        want = count_table(4, 5, threads=1, cache=CensusCache(path))
+        got = count_table(4, 5, threads=2, cache=CensusCache(path))
+        assert pool_events == []
+        assert [r.g for r in got] == [r.g for r in want]
+
+    def test_no_pool_when_every_row_is_one_unit(self, pool_events):
+        count_table(2, 8, threads=2)
+        assert pool_events == []
+
+    def test_table_callers_fork_once_per_table(self, pool_events):
+        from braidcensus import analysis, verify
+
+        analysis.bounds_table(4, 6, with_census=True, threads=2)
+        analysis.ratio_series(4, 6, threads=2)
+        assert pool_events == [("made", 2), ("shutdown",)] * 2
+        del pool_events[:]
+        # one plain and one pruned table for each n in 3..5; n <= 2 rows
+        # are single s-vectors and need no pool
+        assert verify.run_suite("prune-consistency", kmax=4, threads=2)["ok"]
+        assert pool_events == [("made", 2), ("shutdown",)] * 6
+
+    def test_pool_is_shut_down_when_a_row_raises(self, pool_events):
+        def progress(done, total, s):
+            if sum(s) == 3:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError):
+            count_table(4, 6, threads=2, progress=progress)
+        assert pool_events == [("made", 2), ("shutdown",)]
+
+    def test_progress_reports_every_row(self):
+        seen = []
+        count_table(3, 3, threads=2, progress=lambda d, t, s: seen.append((d, t, s)))
+        want = [sv.s for k in range(4) for sv in enumerate_s_vectors(3, k)]
+        assert [s for _, _, s in seen] == want
+        assert [d for d, t, _ in seen if d == t] == [1, 2, 3, 4]
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            count_table(0, 3)
+        with pytest.raises(ValueError):
+            count_table(3, -1)
+
+
+class TestTornCache:
+    LINE = '{"n": 2, "k": 1, "g": 2, "mode": "plain", "elapsed_ms": 0}\n'
+
+    def test_torn_final_line_is_skipped_then_cut(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.LINE + '{"n": 2, "k": 2, "g"', encoding="utf-8")
+        cache = CensusCache(str(path))
+        assert "incomplete final record" in capsys.readouterr().err
+        assert [(r.n, r.k) for r in cache.records()] == [(2, 1)]
+        count_actual(2, 2, threads=1, cache=cache)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == self.LINE and len(lines) == 2
+        assert json.loads(lines[1])["k"] == 2
+        assert len(CensusCache(str(path)).records()) == 2
+        assert capsys.readouterr().err == ""
+
+    def test_unterminated_complete_final_line_is_kept(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.LINE.rstrip("\n"), encoding="utf-8")
+        cache = CensusCache(str(path))
+        assert cache.lookup(2, 1).g == 2
+        count_actual(2, 2, threads=1, cache=cache)
+        assert len(CensusCache(str(path)).records()) == 2
+
+    @pytest.mark.parametrize("bad", ['{"n": 2, "k": 2, "g"\n', '{"n": 2, "k": 2}\n'])
+    def test_bad_middle_line_is_hard_error(self, tmp_path, bad):
+        path = tmp_path / "c.jsonl"
+        path.write_text(bad + self.LINE, encoding="utf-8")
+        with pytest.raises(CacheConflictError, match="c.jsonl:1: unreadable record"):
+            CensusCache(str(path))

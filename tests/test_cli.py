@@ -215,3 +215,57 @@ class TestUsage:
         code, out, _ = run_capture(capsys, ["count", "--n", "2", "--k", "2"])
         assert code == 0
         assert json.loads(out)["g"] == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--n", "4", "--kmax", "-1"],
+            ["table", "--n", "0", "--kmax", "-1"],
+            ["bounds", "--n", "4", "--kmax", "-1"],
+            ["bounds", "--n", "4", "--kmax", "-1", "--with-census"],
+            ["ratios", "--n", "4", "--kmax", "-1"],
+            ["ratios", "--n", "3", "--kmax", "-1", "--source", "closedform"],
+        ],
+    )
+    def test_negative_kmax_is_usage_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv + ["--threads", "1"])
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_table_progress_names_each_row(self, capsys):
+        code, _, err = run_capture(
+            capsys, ["table", "--n", "3", "--kmax", "2", "--threads", "1"]
+        )
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[0] == "progress: n=3 k=0 s-vector 1/1 (0, 0)"
+        assert lines[-1] == "progress: n=3 k=2 s-vector 3/3 (2, 0)"
+
+
+class TestTornCacheCli:
+    LINE = '{"n": 2, "k": 1, "g": 2, "mode": "plain", "elapsed_ms": 0}\n'
+
+    def test_torn_final_line_is_repaired(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.LINE + '{"n": 2, "k": 2, "g": 2, "mo')
+        code, out, err = run_capture(
+            capsys, ["count", "--n", "2", "--k", "2", "--cache", str(path), "--threads", "1"]
+        )
+        assert code == 0
+        assert json.loads(out)["g"] == 2
+        assert "warning:" in err and "incomplete final record" in err
+        code, out, err = run_capture(capsys, ["cache", "show", "--path", str(path)])
+        assert code == 0 and err == ""
+        assert [r["k"] for r in json.loads(out)] == [1, 2]
+
+    def test_bad_middle_line_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"n": 2, "k": 2, "g": 2, "mo\n' + self.LINE)
+        code, _, err = run_capture(
+            capsys, ["count", "--n", "2", "--k", "2", "--cache", str(path), "--threads", "1"]
+        )
+        assert code == 1
+        assert "unreadable record" in err
