@@ -9,20 +9,27 @@ creates at most one pool, shared by all of its rows, and shuts it down
 before it returns or raises.  No pool is made with one worker, or when
 every row is a cache hit or has at most one work unit.
 
-Within one s-vector, offset tuples are walked in lexicographic order with
-a snapshot stack: the union-find state after applying zones 1..i is copied
-once per prefix, so changing a late offset never replays early zones.  Arc
-endpoint pairs per (zone, offset) are precomputed once per s-vector.
+Within one s-vector the offsets are chosen zone by zone, left to right.
+Each node gets exactly one arc from each zone beside its line, so every
+component is a path or a closed loop, and every tuple has exactly one arc
+fewer than nodes: a tuple is connected iff no arc closes a loop.  After
+zones 1..i, every node left of line L_i except node 0 has degree 2, so the
+path ends are node 0 and the nodes on L_i.  The line state is the mate
+(other end of its path) of each node on L_i and of node 0, plus, in pruned
+mode, whether the prefix is still its own mirror.  Prefixes that share a
+line state have the same futures, so the walk is a forward pass that keeps
+{line state: number of prefixes} and applies each offset of the next zone
+once per state (the transfer matrix of I. Jensen, "A transfer matrix
+approach to the enumeration of plane meanders", J. Phys. A 33 (2000)
+5953, taken within one s-vector).  An arc (u, v) closes a loop iff
+mate[u] == v; otherwise it joins two paths, and the outer ends become
+mates: mate[mate[u]], mate[mate[v]] = mate[v], mate[u].  A closed loop
+never opens again, so such a transition is dead.
 
-Every tuple has exactly one arc fewer than nodes, so it is connected iff
-each arc joins two different components.  An arc that finds its endpoints
-already joined closes a loop, and no later zone can open it again: the
-prefix is dead and its whole subtree is dropped (the loop-pruning rule of
-the meander transfer matrix, I. Jensen, J. Phys. A 33 (2000) 5953).
-Equivalently, after zones 1..i a prefix is live iff its component count
-is s_i + 1 plus the nodes right of line i.  tuples_examined counts every
-tuple the walk covers, evaluated or dropped with a dead prefix, so in
-plain mode it equals the whole virtual-tuple space.
+tuples_examined counts every tuple the pass covers, as a walk over single
+prefixes would: a dead transition from a state reached by c prefixes adds
+c times the tuples below it, and a transition through the last zone adds
+c.  In plain mode that is the whole virtual-tuple space.
 
 Optional pruning halves the work twice, and is off by default:
   * s-vectors are enumerated up to reversal, doubling the count of
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -126,16 +134,19 @@ def _zone_tables(sv: SVector) -> tuple[list[list[list[tuple[int, int]]]], int]:
 def _walk(sv: SVector, mirror: bool) -> tuple[int, int]:
     """(connected count, tuples examined) for one s-vector.
 
-    A prefix whose latest zone closed a loop is dropped with its whole
-    subtree; the subtree's leaves still count as examined.  With mirror,
+    A forward pass over line states (see the module docstring): each
+    offset of a zone is applied once per state, weighted by the number of
+    prefixes that reach the state.  A transition that closes a loop is
+    dead, and its subtree's leaves still count as examined.  With mirror,
     one offset tuple per mirror pair is evaluated: a_i maps to
-    (range_i - 1) - a_i, and walking offsets in lexicographic order a
-    prefix decides the comparison with its mirror at the first position
-    where 2 a_i != range_i - 1.  Smaller means this tuple represents a
-    pair (weight 2), larger means its mirror was already counted (skip the
-    whole subtree).  Fully central tuples are their own mirror (weight 1).
+    (range_i - 1) - a_i, and the comparison with the mirror is decided at
+    the first position where 2 a_i != range_i - 1.  Smaller means this
+    tuple represents a pair (weight 2), larger means its mirror is counted
+    instead (skip the subtree).  Fully central tuples are their own mirror
+    (weight 1).
     """
     tables, node_count = _zone_tables(sv)
+    s = sv.full()
     last = len(tables) - 1
     # leaves[zi]: offset tuples below one prefix that ends at zone zi;
     # central[zi]: the mirror representatives among them when the prefix
@@ -148,42 +159,44 @@ def _walk(sv: SVector, mirror: bool) -> tuple[int, int]:
         odd[zi - 1] = odd[zi] and size % 2 == 1
     central = [(count + o) // 2 for count, o in zip(leaves, odd)]
     pair_weight = 2 if mirror else 1
+    identity = list(range(node_count))
     actual = 0
     examined = 0
-    # explicit DFS stack of (zone index, union-find parents, prefix is its
-    # own mirror so far)
-    stack = [(0, list(range(node_count)), mirror)]
-    while stack:
-        zi, parent0, undecided0 = stack.pop()
-        table = tables[zi]
+    # {(mates of the nodes on the line, mate of node 0, undecided): prefixes}
+    states = {((0,), 0, mirror): 1}
+    lo = 0  # first node on the current line
+    for zi, table in enumerate(tables):
+        hi = lo + 2 * s[zi] + 1  # the next line's nodes are hi .. end - 1
+        end = hi + 2 * s[zi + 1] + 1
         top = len(table) - 1
-        for a, pairs in enumerate(table):
-            if undecided0:
-                if 2 * a > top:
-                    break  # larger than its mirror: already counted
-                undecided = 2 * a == top
-            else:
-                undecided = False
-            parent = parent0.copy()
-            for u, v in pairs:
-                while parent[u] != u:
-                    parent[u] = parent[parent[u]]
-                    u = parent[u]
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
-                if u == v:
-                    break  # this arc closes a loop
-                if u < v:
-                    parent[v] = u
+        following: dict[tuple[tuple[int, ...], int, bool], int] = {}
+        for (line, mate0, undecided0), c in states.items():
+            for a, pairs in enumerate(table):
+                if undecided0:
+                    if 2 * a > top:
+                        break  # larger than its mirror: counted there
+                    undecided = 2 * a == top
                 else:
-                    parent[u] = v
-            else:
-                if zi < last:
-                    stack.append((zi + 1, parent, undecided))
-                    continue
-                actual += 1 if undecided else pair_weight
-            examined += central[zi] if undecided else leaves[zi]
+                    undecided = False
+                mate = identity.copy()
+                mate[lo:hi] = line
+                mate[0] = mate0
+                for u, v in pairs:
+                    mu = mate[u]
+                    if mu == v:
+                        break  # u and v end one path: this arc closes a loop
+                    mv = mate[v]
+                    mate[mu] = mv
+                    mate[mv] = mu
+                else:
+                    if zi < last:
+                        key = (tuple(mate[hi:end]), mate[0], undecided)
+                        following[key] = following.get(key, 0) + c
+                        continue
+                    actual += c if undecided else c * pair_weight
+                examined += c * (central[zi] if undecided else leaves[zi])
+        states = following
+        lo = hi
     return actual, examined
 
 
@@ -425,14 +438,29 @@ class CensusCache:
 def merge_caches(target_path: str, source_paths: list[str]) -> int:
     """Union several cache files into target; conflicts are hard errors.
 
-    Returns the number of records in the merged store.  The target is
-    rewritten in sorted order.
+    Returns the number of records in the merged store.  The merged records
+    are written in sorted order to a temporary file next to the target,
+    synced, and renamed onto the target, so a failure at any point leaves
+    the target as it was.
     """
     merged = CensusCache(target_path)
     for path in source_paths:
         for record in CensusCache(path).records():
             merged._store(record, source=path)
-    with open(target_path, "w", encoding="utf-8") as fh:
-        for record in merged.records():
-            fh.write(record.to_json() + "\n")
-    return len(merged.records())
+    records = merged.records()
+    directory, name = os.path.split(os.path.abspath(target_path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(record.to_json() + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        if os.path.exists(target_path):
+            shutil.copymode(target_path, tmp)
+        os.replace(tmp, target_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return len(records)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class TranslatedCut:
             )
 
 
-PermSpec = Union[Translation, TranslatedCut]
+PermSpec = Translation | TranslatedCut
 
 
 def apply(spec: PermSpec, u: int) -> int:

@@ -8,6 +8,7 @@ dict so the CLI can serialise them directly.
 
 from __future__ import annotations
 
+import inspect
 import random
 from typing import Callable
 
@@ -28,9 +29,7 @@ def _result(suite: str, checked: int, failures: list[str]) -> dict:
 def _census_table(
     n: int, kmax: int, threads: int | None, prune: bool = False
 ) -> list[int]:
-    """g(n, k) for k = 0 .. kmax from one table; a negative kmax checks nothing."""
-    if kmax < 0:
-        return []
+    """g(n, k) for k = 0 .. kmax from one table."""
     records = census.count_table(n, kmax, threads=threads, prune=prune)
     return [r.g for r in records]
 
@@ -276,28 +275,19 @@ SUITES: dict[str, Callable[..., dict]] = {
     "prune-consistency": verify_prune_consistency,
 }
 
-# suites whose kmax parameter is actually a modulus bound
-_KMAX_PARAM = {
-    "b2": "kmax",
-    "b3-closed-form": "kmax",
-    "cyclicity": "nmax",
-    "theta-bridge": "kmax",
-    "bounds": "kmax",
-    "witnesses": "kmax",
-    "tightness": "kmax",
-    "symmetry": "kmax",
-    "prune-consistency": "kmax",
-}
-
-_THREADED = {"b2", "b3-closed-form", "bounds", "prune-consistency"}
-
 
 def run_suite(name: str, kmax: int | None = None, threads: int | None = None) -> dict:
+    """Run one suite; kmax goes to the suite's first parameter, its size bound."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+    suite = SUITES[name]
+    params = inspect.signature(suite).parameters
     kwargs = {}
     if kmax is not None:
-        kwargs[_KMAX_PARAM[name]] = kmax
-    if threads is not None and name in _THREADED:
+        size = next(iter(params))
+        if kmax < 0:
+            raise ValueError(f"suite {name!r} needs {size} >= 0, got {kmax}")
+        kwargs[size] = kmax
+    if threads is not None and "threads" in params:
         kwargs["threads"] = threads
-    return SUITES[name](**kwargs)
+    return suite(**kwargs)

@@ -337,3 +337,68 @@ class TestTornCache:
         path.write_text(bad + self.LINE, encoding="utf-8")
         with pytest.raises(CacheConflictError, match="c.jsonl:1: unreadable record"):
             CensusCache(str(path))
+
+
+class TestFrontierWalk:
+    """The line-state pass against brute force and the tuple space."""
+
+    SMALL = [sv for n in range(1, 6) for k in range(6) for sv in enumerate_s_vectors(n, k)]
+
+    def test_plain_counts_and_examines_every_tuple(self):
+        from braidcensus.census import _walk
+        from braidcensus.coords import count_a_tuples
+
+        assert len(self.SMALL) == 210
+        for sv in self.SMALL:
+            assert _walk(sv, False) == (brute_count(sv), count_a_tuples(sv)), sv
+
+    def test_mirror_examines_one_tuple_per_mirror_pair(self):
+        from braidcensus.census import _walk
+        from braidcensus.coords import count_a_tuples
+
+        for sv in self.SMALL:
+            g, examined = _walk(sv, True)
+            assert g == count_for_s_vector(sv), sv
+            # the offset mirror is an involution with at most one fixed tuple
+            assert examined == (count_a_tuples(sv) + 1) // 2, sv
+
+    def test_six_strands_past_the_benchmark_table(self):
+        # g(6, 12..14) lie past the benchmark's table; they were confirmed
+        # once by enumerating prefixes one at a time, without merging
+        records = count_table(6, 14, threads=2)
+        assert [r.g for r in records[11:]] == [143116, 242658, 384126, 611772]
+
+
+class TestAtomicMerge:
+    LINE = '{"n": 2, "k": 1, "g": 2, "mode": "plain", "elapsed_ms": 0}\n'
+
+    def test_failed_write_leaves_target_intact(self, tmp_path, monkeypatch):
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        target.write_text(self.LINE, encoding="utf-8")
+        cache = CensusCache(str(source))
+        for k in range(4):
+            count_actual(3, k, threads=1, cache=cache)
+        before = target.read_bytes()
+        real = CensusRecord.to_json
+        written = []
+
+        def failing_to_json(record):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(record)
+            return real(record)
+
+        monkeypatch.setattr(CensusRecord, "to_json", failing_to_json)
+        with pytest.raises(OSError, match="disk full"):
+            merge_caches(str(target), [str(source)])
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "t.jsonl"]
+
+    def test_merge_into_missing_target(self, tmp_path):
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        source.write_text(self.LINE, encoding="utf-8")
+        assert merge_caches(str(target), [str(source)]) == 1
+        assert target.read_text(encoding="utf-8") == (
+            CensusCache(str(source)).lookup(2, 1).to_json() + "\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "t.jsonl"]

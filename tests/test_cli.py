@@ -97,6 +97,17 @@ class TestVerify:
         code, _, _ = run_capture(capsys, ["verify", "--suite", "nope"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "suite", ["b2", "b3-closed-form", "bounds", "prune-consistency", "cyclicity"]
+    )
+    def test_negative_size_bound_is_usage_error(self, capsys, suite):
+        code, out, err = run_capture(
+            capsys, ["verify", "--suite", suite, "--kmax", "-1", "--threads", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestRender:
     def test_writes_file(self, capsys, tmp_path):

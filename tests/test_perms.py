@@ -225,3 +225,34 @@ class TestCPair:
                     if is_actual(validate(3, (0, a1, k, a2, ell, a3, 0)))
                 )
                 assert c_pair(k, ell) == brute, (k, ell)
+
+
+def test_reimport_releases_the_old_module():
+    # a module-level typing.Union alias is kept by typing's cache, which
+    # would keep every re-imported copy of the module alive
+    import os
+    import subprocess
+    import sys
+
+    import braidcensus
+
+    src = os.path.dirname(os.path.dirname(braidcensus.__file__))
+    script = (
+        "import gc, sys, weakref\n"
+        "import braidcensus.perms\n"
+        "ref = weakref.ref(braidcensus.perms.Translation)\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'braidcensus']:\n"
+        "    del sys.modules[name]\n"
+        "del braidcensus\n"
+        "import braidcensus.perms\n"
+        "gc.collect()\n"
+        "print('alive' if ref() is not None else 'released')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "released"
