@@ -45,14 +45,22 @@ Counts are exact (Python integers are unbounded).  The optional cache is a
 UTF-8 JSON-lines file, one object per record with keys n, k, g, mode,
 engine_version, elapsed_ms; re-running a cached query returns the stored
 count, and two stored records disagreeing on g for one (n, k) are a hard
-error.  The cache writer is single-owner; worker processes never touch it.
+error.  Opening a cache validates every line: it is parsed once by json's
+decoder (json.loads runs only on a line that fails, to raise json's own
+message), its fields are converted, and its g is checked against any
+earlier record for the same (n, k); merging caches goes through the same
+check.  Per (n, k) the cache keeps a plain row, and builds a CensusRecord
+only when lookup or records asks for one.  Each append holds an exclusive
+lock on the file; worker processes never touch it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -65,6 +73,11 @@ ENGINE_VERSION = "braidcensus-1"
 
 MODE_PLAIN = "plain"
 MODE_PRUNED = "pruned"
+
+_DECODER = json.JSONDecoder()
+
+# (n, k) -> (g, mode, elapsed_ms, engine_version): a cache record as loaded
+_Rows = dict[tuple[int, int], tuple[int, str, int, str]]
 
 
 class CacheConflictError(RuntimeError):
@@ -295,7 +308,13 @@ def _count_rows(
             if record is None:
                 units = list(_work_units(n, k, mode))
                 if pool is None and workers > 1 and len(units) > 1:
-                    pool = ProcessPoolExecutor(max_workers=min(workers, widest))
+                    pool = ProcessPoolExecutor(
+                        max_workers=min(workers, widest),
+                        # Ctrl-C reaches every process in the group; the caller
+                        # handles it and shuts the pool down, so workers ignore it
+                        initializer=signal.signal,
+                        initargs=(signal.SIGINT, signal.SIG_IGN),
+                    )
                 record = _count_row(n, k, mode, units, pool, workers, progress)
                 if cache is not None:
                     cache.add(record)
@@ -342,97 +361,123 @@ def table_csv(records: list[CensusRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_rows(path: str, rows: _Rows) -> tuple[int, int | None, bool]:
+    """Add the records of the cache file at path to rows.
+
+    A record whose (n, k) is already in rows must agree on g, and the row
+    already there is kept.  Returns the file size, the size without a torn final
+    line (None when there is none), and whether the last record lacks its
+    newline.  Holds a shared lock while it reads, so a writer's append is
+    seen whole or not at all.
+    """
+    torn = 0  # bytes of the torn final line
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        fcntl.flock(fh, fcntl.LOCK_SH)
+        raw = ""
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                try:
+                    obj, end = _DECODER.raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    obj = json.loads(line)  # raises json's own error and message
+                key = (int(obj["n"]), int(obj["k"]))
+                row = (
+                    int(obj["g"]),
+                    str(obj.get("mode", MODE_PLAIN)),
+                    int(obj.get("elapsed_ms", 0)),
+                    str(obj.get("engine_version", "unknown")),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                # only the final line can lack its newline
+                if isinstance(exc, json.JSONDecodeError) and not raw.endswith("\n"):
+                    print(
+                        f"warning: {path}:{lineno}: ignoring incomplete final "
+                        f"record ({len(raw)} bytes); the next write removes it",
+                        file=sys.stderr,
+                    )
+                    torn = len(raw.encode("utf-8"))
+                    break
+                raise CacheConflictError(
+                    f"{path}:{lineno}: unreadable record: {exc}"
+                ) from exc
+            existing = rows.setdefault(key, row)
+            if existing[0] != row[0]:
+                raise CacheConflictError(
+                    f"{path}:{lineno}: g({key[0]},{key[1]}) = {row[0]} "
+                    f"conflicts with stored value {existing[0]}"
+                )
+        size = os.fstat(fh.fileno()).st_size
+    if torn:
+        return size, size - torn, False
+    return size, None, raw != "" and not raw.endswith("\n")
+
+
+def _as_records(rows: _Rows) -> list[CensusRecord]:
+    return [CensusRecord(n, k, *row) for (n, k), row in sorted(rows.items())]
+
+
 class CensusCache:
     """Append-only JSON-lines store of census records, keyed by (n, k).
 
+    A plain row is kept per (n, k), and lookup and records build the
+    CensusRecord objects, so a lookup hit carries tuples_examined None.
     Loading tolerates unknown keys and blank lines; duplicate keys must
     agree on g (the first record is kept).  Partial tables are resumable:
     a lookup hit skips recomputation entirely.  A final line without its
     newline that does not parse is what a process killed mid-append leaves
     behind: it is skipped with a warning on stderr and cut off by the next
     add.  An unreadable line anywhere else is a hard error.
+
+    Several handles, in one process or many, may add to one file: add
+    holds an exclusive lock around its append, and mends the file's tail
+    (cuts the torn line, or ends the last record's line) only while the
+    file is still the size this handle loaded, so it never cuts a record
+    that another handle appended since.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._records: dict[tuple[int, int], CensusRecord] = {}
+        self._rows: _Rows = {}
+        self._size = 0  # file size at load
         self._torn_at: int | None = None  # file size without the torn tail
         self._unterminated = False  # last record lacks its newline
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            raw = ""
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    record = CensusRecord(
-                        n=int(obj["n"]),
-                        k=int(obj["k"]),
-                        g=int(obj["g"]),
-                        mode=str(obj.get("mode", MODE_PLAIN)),
-                        elapsed_ms=int(obj.get("elapsed_ms", 0)),
-                        engine_version=str(obj.get("engine_version", "unknown")),
-                    )
-                except (ValueError, KeyError, TypeError) as exc:
-                    # only the final line can lack its newline
-                    if isinstance(exc, json.JSONDecodeError) and not raw.endswith("\n"):
-                        print(
-                            f"warning: {path}:{lineno}: ignoring incomplete final "
-                            f"record ({len(raw)} bytes); the next write removes it",
-                            file=sys.stderr,
-                        )
-                        size = os.fstat(fh.fileno()).st_size
-                        self._torn_at = size - len(raw.encode("utf-8"))
-                        break
-                    raise CacheConflictError(
-                        f"{path}:{lineno}: unreadable record: {exc}"
-                    ) from exc
-                self._store(record, source=f"{path}:{lineno}")
-        self._unterminated = (
-            raw != "" and not raw.endswith("\n") and self._torn_at is None
-        )
-
-    def _store(self, record: CensusRecord, source: str) -> None:
-        key = (record.n, record.k)
-        existing = self._records.get(key)
-        if existing is not None:
-            if existing.g != record.g:
-                raise CacheConflictError(
-                    f"{source}: g({record.n},{record.k}) = {record.g} "
-                    f"conflicts with stored value {existing.g}"
-                )
-            return
-        self._records[key] = record
+        if os.path.exists(path):
+            self._size, self._torn_at, self._unterminated = _read_rows(path, self._rows)
 
     def lookup(self, n: int, k: int) -> CensusRecord | None:
-        return self._records.get((n, k))
+        row = self._rows.get((n, k))
+        return None if row is None else CensusRecord(n, k, *row)
 
     def add(self, record: CensusRecord) -> None:
         key = (record.n, record.k)
-        existing = self._records.get(key)
+        existing = self._rows.get(key)
         if existing is not None:
-            if existing.g != record.g:
+            if existing[0] != record.g:
                 raise CacheConflictError(
                     f"new result g({record.n},{record.k}) = {record.g} "
-                    f"conflicts with cached value {existing.g}"
+                    f"conflicts with cached value {existing[0]}"
                 )
             return
-        self._records[key] = record
+        self._rows[key] = (record.g, record.mode, record.elapsed_ms, record.engine_version)
         line = record.to_json() + "\n"
-        if self._unterminated:
-            line = "\n" + line
         with open(self.path, "a", encoding="utf-8") as fh:
-            if self._torn_at is not None:
-                fh.truncate(self._torn_at)
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+            if os.fstat(fh.fileno()).st_size == self._size:  # no append since load
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                elif self._unterminated:
+                    line = "\n" + line
             fh.write(line)
         self._torn_at = None
         self._unterminated = False
 
     def records(self) -> list[CensusRecord]:
-        return sorted(self._records.values(), key=lambda r: (r.n, r.k))
+        return _as_records(self._rows)
 
 
 def merge_caches(target_path: str, source_paths: list[str]) -> int:
@@ -443,11 +488,11 @@ def merge_caches(target_path: str, source_paths: list[str]) -> int:
     synced, and renamed onto the target, so a failure at any point leaves
     the target as it was.
     """
-    merged = CensusCache(target_path)
-    for path in source_paths:
-        for record in CensusCache(path).records():
-            merged._store(record, source=path)
-    records = merged.records()
+    rows: _Rows = {}
+    for path in [target_path, *source_paths]:
+        if os.path.exists(path):
+            _read_rows(path, rows)
+    records = _as_records(rows)
     directory, name = os.path.split(os.path.abspath(target_path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:

@@ -2,8 +2,10 @@
 
 Machine-readable results go to stdout (JSON by default, CSV on request);
 progress and errors go to stderr.  Exit codes: 0 success, 1 verification
-failure or data conflict, 2 usage error (bad flags, bad coordinate syntax,
-bad ranges).
+failure, data conflict or a worker process that died (its pool is broken),
+2 usage error (bad flags, bad coordinate syntax, bad ranges), 130
+interrupted (Ctrl-C).  A failure prints one "error: ..." line and an
+interrupt one "interrupted" line on stderr, without a traceback.
 """
 
 from __future__ import annotations
@@ -11,12 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__, analysis, census, coords, render, verify
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _record_dict(r: census.CensusRecord) -> dict:
@@ -37,11 +41,11 @@ def _open_cache(path: str | None) -> census.CensusCache | None:
 
 def _progress_printer(n: int):
     def report(done: int, total: int, interior: tuple[int, ...]) -> None:
-        print(
-            f"progress: n={n} k={sum(interior)} s-vector {done}/{total} {interior}",
-            file=sys.stderr,
-            flush=True,
+        # one write, so an interrupt cannot split the line from its newline
+        sys.stderr.write(
+            f"progress: n={n} k={sum(interior)} s-vector {done}/{total} {interior}\n"
         )
+        sys.stderr.flush()
 
     return report
 
@@ -242,9 +246,12 @@ def run(argv: list[str] | None = None) -> int:
     except (coords.CoordinateError, render.RenderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except census.CacheConflictError as exc:
+    except (census.CacheConflictError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

@@ -402,3 +402,151 @@ class TestAtomicMerge:
             CensusCache(str(source)).lookup(2, 1).to_json() + "\n"
         )
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "t.jsonl"]
+
+
+class TestCacheWriters:
+    LINE = '{"n": 2, "k": 1, "g": 2, "mode": "plain", "elapsed_ms": 0}\n'
+
+    @pytest.mark.parametrize(
+        "text", [LINE + '{"n": 2, "k": 2, "g"', LINE.rstrip("\n")], ids=["torn", "unterminated"]
+    )
+    def test_two_handles_on_one_tail_keep_both_records(self, tmp_path, text):
+        path = tmp_path / "c.jsonl"
+        path.write_text(text, encoding="utf-8")
+        first, second = CensusCache(str(path)), CensusCache(str(path))
+        first.add(CensusRecord(n=2, k=2, g=2, mode="plain", elapsed_ms=0))
+        second.add(CensusRecord(n=2, k=3, g=2, mode="plain", elapsed_ms=0))
+        reopened = CensusCache(str(path))
+        assert [(r.n, r.k) for r in reopened.records()] == [(2, 1), (2, 2), (2, 3)]
+        # the tail is mended once: no blank line, no torn bytes
+        assert all(json.loads(line) for line in path.read_text(encoding="utf-8").splitlines())
+
+    def test_add_waits_for_another_writer(self, tmp_path):
+        import fcntl
+        import threading
+
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.LINE, encoding="utf-8")
+        cache = CensusCache(str(path))
+        record = CensusRecord(n=2, k=2, g=2, mode="plain", elapsed_ms=0)
+        with open(path, "a", encoding="utf-8") as other:
+            fcntl.flock(other, fcntl.LOCK_EX)
+            writer = threading.Thread(target=cache.add, args=(record,))
+            writer.start()
+            writer.join(timeout=0.3)
+            assert writer.is_alive()  # blocked on the lock
+            assert path.read_text(encoding="utf-8") == self.LINE
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert CensusCache(str(path)).lookup(2, 2) == record
+
+    def test_merge_conflict_names_the_source_line(self, tmp_path):
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        target.write_text(self.LINE, encoding="utf-8")
+        source.write_text(
+            self.LINE.replace('"k": 1', '"k": 0') + self.LINE.replace('"g": 2', '"g": 3'),
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            CacheConflictError, match=r"s\.jsonl:2: g\(2,1\) = 3 conflicts with stored value 2$"
+        ):
+            merge_caches(str(target), [str(source)])
+        assert target.read_text(encoding="utf-8") == self.LINE
+
+
+def reference_load(path):
+    """The cache's line rules with one json.loads per line.
+
+    Returns {(n, k): (g, mode, elapsed_ms, engine_version)} or the text of
+    the CacheConflictError that loading must raise.
+    """
+    rows = {}
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                key = (int(obj["n"]), int(obj["k"]))
+                row = (
+                    int(obj["g"]),
+                    str(obj.get("mode", "plain")),
+                    int(obj.get("elapsed_ms", 0)),
+                    str(obj.get("engine_version", "unknown")),
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                if isinstance(exc, json.JSONDecodeError) and not raw.endswith("\n"):
+                    break  # torn final line
+                return f"{path}:{lineno}: unreadable record: {exc}"
+            if rows.setdefault(key, row)[0] != row[0]:
+                return f"{path}:{lineno}: conflict"
+    return rows
+
+
+class TestLoaderParity:
+    """CensusCache loads exactly what a json.loads-per-line loader does."""
+
+    HEAD = '{"n": 2, "k": 1, "g": 2, "mode": "plain", "elapsed_ms": 0}\n'
+    TAIL = '{"n": 3, "k": 2, "g": 10, "mode": "pruned", "elapsed_ms": 4, "engine_version": "e"}\n'
+
+    @staticmethod
+    def loaded(cache):
+        return {(r.n, r.k): (r.g, r.mode, r.elapsed_ms, r.engine_version) for r in cache.records()}
+
+    @pytest.mark.parametrize(
+        "middle",
+        [
+            '{"engine_version": "v", "elapsed_ms": 9, "g": 5, "mode": "pruned", "k": 4, "n": 3}\n',
+            '{"n": 3, "k": 4, "g": 5, "stats": {"per_line": [1, 2]}, "note": null}\n',
+            '{"n": 3, "k": 4, "g": 5}\n',
+            ' \t {"n" : 3 , "k":4,"g" :5}\t  \n',
+            '{"n": 3, "k": 4, "g": 5, "mode": "plain", "elapsed_ms": 0}\r\n',
+            '{"n": "3", "k": " 4", "g": "5", "elapsed_ms": "12"}\n',
+            '{"n": 3.0, "k": 4, "g": 5, "elapsed_ms": 1.9, "mode": "\\u00e9t\u00e9"}\n',
+            "\n   \n",
+        ],
+        ids=["permuted", "extra-keys", "optional-missing", "padding", "crlf",
+             "numeric-strings", "float-and-unicode", "blank"],
+    )
+    def test_accepted_lines(self, tmp_path, middle):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.HEAD + middle + self.TAIL, encoding="utf-8", newline="")
+        want = reference_load(str(path))
+        assert isinstance(want, dict) and len(want) == (2 if middle.isspace() else 3)
+        assert self.loaded(CensusCache(str(path))) == want
+
+    @pytest.mark.parametrize(
+        "middle, fragment",
+        [
+            ('{"n": 3, "k": 4, "g": 5} {"n": 3, "k": 5, "g": 6}', "Extra data"),
+            ("[1, 2]", "list indices"),
+            ('"x"', "string indices"),
+            ("7", "not subscriptable"),
+            ('\ufeff{"n": 3, "k": 4, "g": 5}', "Unexpected UTF-8 BOM"),
+            ('{"n": 3, "k": 4, "g": 5,}', "Expecting property name"),
+            ('{"n": 3, "k": "four", "g": 5}', "invalid literal for int()"),
+        ],
+        ids=["two-objects", "list", "string", "number", "bom", "trailing-comma", "bad-int"],
+    )
+    def test_rejected_middle_lines(self, tmp_path, middle, fragment):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.HEAD + middle + "\n" + self.TAIL, encoding="utf-8")
+        want = reference_load(str(path))
+        assert isinstance(want, str) and fragment in want
+        with pytest.raises(CacheConflictError) as caught:
+            CensusCache(str(path))
+        assert str(caught.value) == want
+        assert str(caught.value).startswith(f"{path}:2: unreadable record: ")
+
+    @pytest.mark.parametrize(
+        "torn", ['{"n": 3, "k": 9, "g"', '{"n": 3, "k": 9, "g": 1} {"n"', "[1, "]
+    )
+    def test_torn_final_line_is_a_warning(self, tmp_path, capsys, torn):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.HEAD + self.TAIL + torn, encoding="utf-8")
+        cache = CensusCache(str(path))
+        assert self.loaded(cache) == reference_load(str(path))
+        assert f"c.jsonl:3: ignoring incomplete final record ({len(torn)} bytes)" in (
+            capsys.readouterr().err
+        )

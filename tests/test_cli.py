@@ -280,3 +280,48 @@ class TestTornCacheCli:
         )
         assert code == 1
         assert "unreadable record" in err
+
+
+def _dying_worker(args):
+    import multiprocessing
+    import os
+
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("ran in the calling process, not in a pool")
+    os._exit(1)  # the worker process dies without a word
+
+
+def _worker_ignores_interrupts(args):
+    import signal
+
+    return int(signal.getsignal(signal.SIGINT) == signal.SIG_IGN), 0
+
+
+class TestAbort:
+    def test_dead_worker_is_an_error_not_a_traceback(self, capsys, monkeypatch):
+        from braidcensus import census
+
+        monkeypatch.setattr(census, "_worker", _dying_worker)
+        code, out, err = run_capture(capsys, ["count", "--n", "4", "--k", "3", "--threads", "2"])
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_interrupt_exits_130(self, capsys, monkeypatch):
+        from braidcensus import census
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(census, "count_actual", interrupted)
+        code, out, err = run_capture(capsys, ["count", "--n", "3", "--k", "4"])
+        assert (code, out, err) == (130, "", "interrupted\n")
+
+    def test_pool_workers_leave_interrupts_to_the_caller(self, monkeypatch):
+        # Ctrl-C signals every process in the group; only the caller acts on it
+        from braidcensus import census
+        from braidcensus.coords import count_s_vectors
+
+        monkeypatch.setattr(census, "_worker", _worker_ignores_interrupts)
+        assert census.count_actual(4, 3, threads=2).g == count_s_vectors(4, 3)
