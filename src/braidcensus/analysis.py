@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import census as census_mod
 from .closedform import g2, g3_totient, totient_sieve
-from .coords import SVector, VirtualCoordinates
+from .coords import SVector, VirtualCoordinates, count_s_vectors
 from .diagram import is_actual
 
 
@@ -38,9 +38,7 @@ def lower_bound(n: int, k: int) -> int:
     """Compositions of k into n-1 parts; each yields one connected tuple."""
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    if n == 1:
-        return 1 if k == 0 else 0
-    return math.comb(k + n - 2, n - 2)
+    return count_s_vectors(n, k)
 
 
 def upper_bound(n: int, k: int) -> Fraction:

@@ -10,6 +10,8 @@ before it returns or raises.  No pool is made with one worker, or when
 every row is a cache hit or has at most one work unit.
 
 Within one s-vector the offsets are chosen zone by zone, left to right.
+Each zone's arcs at each offset are plain (u, v) pairs from
+diagram.zone_arc_pairs, the one implementation of the arc rules.
 Each node gets exactly one arc from each zone beside its line, so every
 component is a path or a closed loop, and every tuple has exactly one arc
 fewer than nodes: a tuple is connected iff no arc closes a loop.  After
@@ -51,7 +53,8 @@ message), its fields are converted, and its g is checked against any
 earlier record for the same (n, k); merging caches goes through the same
 check.  Per (n, k) the cache keeps a plain row, and builds a CensusRecord
 only when lookup or records asks for one.  Each append holds an exclusive
-lock on the file; worker processes never touch it.
+lock on the file, and a merge holds it from its last read of the target
+through the rename; worker processes never touch the file.
 """
 
 from __future__ import annotations
@@ -65,9 +68,10 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import IO, Callable, Iterable
 
 from .coords import SVector, a_range_size, count_s_vectors, enumerate_s_vectors
+from .diagram import line_bases, zone_arc_pairs
 
 ENGINE_VERSION = "braidcensus-1"
 
@@ -78,6 +82,8 @@ _DECODER = json.JSONDecoder()
 
 # (n, k) -> (g, mode, elapsed_ms, engine_version): a cache record as loaded
 _Rows = dict[tuple[int, int], tuple[int, str, int, str]]
+# a scanned file's stat, (line number, bytes) of a torn final line, unterminated
+_Scan = tuple[os.stat_result, tuple[int, int] | None, bool]
 
 
 class CacheConflictError(RuntimeError):
@@ -107,41 +113,15 @@ class CensusRecord:
         )
 
 
-def _zone_arc_pairs(
-    bases: list[int], s: tuple[int, ...], i: int, a: int
-) -> list[tuple[int, int]]:
-    """(u, v) node pairs of the arcs of zone i at offset a."""
-    sl, sr = s[i - 1], s[i]
-    bl, br = bases[i - 1] - 1, bases[i] - 1  # pre-shifted for 1-based j
-    b = a + abs(sl - sr)
-    out = [(bl + j, br + j) for j in range(1, a + 1)]
-    if sl > sr:
-        out += [(bl + j, bl + 2 * b + 1 - j) for j in range(a + 1, b + 1)]
-        shift = 2 * (sl - sr)
-        out += [(bl + j + shift, br + j) for j in range(a + 1, 2 * sr + 2)]
-    elif sr > sl:
-        out += [(br + j, br + 2 * b + 1 - j) for j in range(a + 1, b + 1)]
-        shift = 2 * (sr - sl)
-        out += [(bl + j, br + j + shift) for j in range(a + 1, 2 * sl + 2)]
-    else:
-        out += [(bl + j, br + j) for j in range(a + 1, 2 * sl + 2)]
-    return out
-
-
 def _zone_tables(sv: SVector) -> tuple[list[list[list[tuple[int, int]]]], int]:
+    """Arc pairs per zone and offset, from diagram's arc rules, and the node count."""
     s = sv.full()
-    n = sv.n
-    bases = [0]
-    for i in range(n + 1):
-        bases.append(bases[-1] + 2 * s[i] + 1)
+    bases = line_bases(s)
     tables = [
-        [
-            _zone_arc_pairs(bases, s, i, a)
-            for a in range(a_range_size(s[i - 1], s[i]))
-        ]
-        for i in range(1, n + 1)
+        [zone_arc_pairs(bl, br, sl, sr, a) for a in range(a_range_size(sl, sr))]
+        for bl, br, sl, sr in zip(bases, bases[1:], s, s[1:])
     ]
-    return tables, bases[n + 1]
+    return tables, bases[-1]
 
 
 def _walk(sv: SVector, mirror: bool) -> tuple[int, int]:
@@ -361,60 +341,73 @@ def table_csv(records: list[CensusRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_rows(path: str, rows: _Rows) -> tuple[int, int | None, bool]:
-    """Add the records of the cache file at path to rows.
+def _scan_rows(fh: IO[str], path: str, rows: _Rows) -> _Scan:
+    """Add the records of the open, locked cache file fh, named path, to rows.
 
     A record whose (n, k) is already in rows must agree on g, and the row
-    already there is kept.  Returns the file size, the size without a torn final
-    line (None when there is none), and whether the last record lacks its
-    newline.  Holds a shared lock while it reads, so a writer's append is
-    seen whole or not at all.
+    already there is kept.  The caller words the warning about a torn
+    final line, since only it knows whether it rewrites the file.
     """
-    torn = 0  # bytes of the torn final line
+    fh.seek(0)
+    raw = ""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            try:
+                obj, end = _DECODER.raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                obj = json.loads(line)  # raises json's own error and message
+            key = (int(obj["n"]), int(obj["k"]))
+            row = (
+                int(obj["g"]),
+                str(obj.get("mode", MODE_PLAIN)),
+                int(obj.get("elapsed_ms", 0)),
+                str(obj.get("engine_version", "unknown")),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            # only the final line can lack its newline
+            if isinstance(exc, json.JSONDecodeError) and not raw.endswith("\n"):
+                return os.fstat(fh.fileno()), (lineno, len(raw.encode("utf-8"))), False
+            raise CacheConflictError(
+                f"{path}:{lineno}: unreadable record: {exc}"
+            ) from exc
+        existing = rows.setdefault(key, row)
+        if existing[0] != row[0]:
+            raise CacheConflictError(
+                f"{path}:{lineno}: g({key[0]},{key[1]}) = {row[0]} "
+                f"conflicts with stored value {existing[0]}"
+            )
+    return os.fstat(fh.fileno()), None, raw != "" and not raw.endswith("\n")
+
+
+def _read_rows(path: str, rows: _Rows) -> _Scan:
+    """_scan_rows under a shared lock: a writer's append is seen whole or not at all."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         fcntl.flock(fh, fcntl.LOCK_SH)
-        raw = ""
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                try:
-                    obj, end = _DECODER.raw_decode(line)
-                except json.JSONDecodeError:
-                    end = -1
-                if end != len(line):
-                    obj = json.loads(line)  # raises json's own error and message
-                key = (int(obj["n"]), int(obj["k"]))
-                row = (
-                    int(obj["g"]),
-                    str(obj.get("mode", MODE_PLAIN)),
-                    int(obj.get("elapsed_ms", 0)),
-                    str(obj.get("engine_version", "unknown")),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                # only the final line can lack its newline
-                if isinstance(exc, json.JSONDecodeError) and not raw.endswith("\n"):
-                    print(
-                        f"warning: {path}:{lineno}: ignoring incomplete final "
-                        f"record ({len(raw)} bytes); the next write removes it",
-                        file=sys.stderr,
-                    )
-                    torn = len(raw.encode("utf-8"))
-                    break
-                raise CacheConflictError(
-                    f"{path}:{lineno}: unreadable record: {exc}"
-                ) from exc
-            existing = rows.setdefault(key, row)
-            if existing[0] != row[0]:
-                raise CacheConflictError(
-                    f"{path}:{lineno}: g({key[0]},{key[1]}) = {row[0]} "
-                    f"conflicts with stored value {existing[0]}"
-                )
-        size = os.fstat(fh.fileno()).st_size
-    if torn:
-        return size, size - torn, False
-    return size, None, raw != "" and not raw.endswith("\n")
+        return _scan_rows(fh, path, rows)
+
+
+def _warn_torn(path: str, torn: tuple[int, int], outcome: str) -> None:
+    message = f"{path}:{torn[0]}: ignoring incomplete final record ({torn[1]} bytes)"
+    print(f"warning: {message}; {outcome}", file=sys.stderr)
+
+
+def _open_locked(path: str) -> IO[str]:
+    """Open path to read and append (made if missing) under LOCK_EX, retrying
+    while a merge renames a new file onto path during the wait."""
+    while True:
+        fh = open(path, "a+", encoding="utf-8", newline="\n")
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+        try:
+            if os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+                return fh
+        except FileNotFoundError:
+            pass
+        fh.close()
 
 
 def _as_records(rows: _Rows) -> list[CensusRecord]:
@@ -435,19 +428,23 @@ class CensusCache:
 
     Several handles, in one process or many, may add to one file: add
     holds an exclusive lock around its append, and mends the file's tail
-    (cuts the torn line, or ends the last record's line) only while the
-    file is still the size this handle loaded, so it never cuts a record
-    that another handle appended since.
+    (cuts the torn line, or ends the last record's line) only while path
+    names the file this handle loaded, at the size it loaded, so it never
+    cuts a record that another handle appended since, or a merged file.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._rows: _Rows = {}
-        self._size = 0  # file size at load
+        self._loaded: tuple[int, int, int] | None = None  # (device, inode, size) at load
         self._torn_at: int | None = None  # file size without the torn tail
         self._unterminated = False  # last record lacks its newline
         if os.path.exists(path):
-            self._size, self._torn_at, self._unterminated = _read_rows(path, self._rows)
+            st, torn, self._unterminated = _read_rows(path, self._rows)
+            self._loaded = (st.st_dev, st.st_ino, st.st_size)
+            if torn is not None:
+                _warn_torn(path, torn, "the next write removes it")
+                self._torn_at = st.st_size - torn[1]
 
     def lookup(self, n: int, k: int) -> CensusRecord | None:
         row = self._rows.get((n, k))
@@ -465,9 +462,9 @@ class CensusCache:
             return
         self._rows[key] = (record.g, record.mode, record.elapsed_ms, record.engine_version)
         line = record.to_json() + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
-            if os.fstat(fh.fileno()).st_size == self._size:  # no append since load
+        with _open_locked(self.path) as fh:
+            st = os.fstat(fh.fileno())
+            if (st.st_dev, st.st_ino, st.st_size) == self._loaded:  # untouched since load
                 if self._torn_at is not None:
                     fh.truncate(self._torn_at)
                 elif self._unterminated:
@@ -483,29 +480,40 @@ class CensusCache:
 def merge_caches(target_path: str, source_paths: list[str]) -> int:
     """Union several cache files into target; conflicts are hard errors.
 
-    Returns the number of records in the merged store.  The merged records
-    are written in sorted order to a temporary file next to the target,
-    synced, and renamed onto the target, so a failure at any point leaves
-    the target as it was.
+    Returns the number of records in the merged store.  The target, then
+    each source, is read (so a conflict names the source line).  Under the
+    lock add takes, the target is read again for records appended since,
+    and the merged records, sorted, go to a synced temporary file that is
+    renamed onto the target.  An add that waits for the lock appends to the
+    merged file; a failure leaves the target as it was, or missing.  One
+    lock at a time is held, so merges into each other cannot deadlock.
     """
     rows: _Rows = {}
     for path in [target_path, *source_paths]:
         if os.path.exists(path):
-            _read_rows(path, rows)
-    records = _as_records(rows)
+            torn = _read_rows(path, rows)[1]
+            if torn is not None and path != target_path:
+                _warn_torn(path, torn, "merge leaves the source as it is")
     directory, name = os.path.split(os.path.abspath(target_path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(record.to_json() + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if os.path.exists(target_path):
+    existed = os.path.exists(target_path)
+    with _open_locked(target_path) as target:
+        try:
+            torn = _scan_rows(target, target_path, rows)[1]
+            if torn is not None:
+                _warn_torn(target_path, torn, "the next write removes it")
+            records = _as_records(rows)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for record in records:
+                    fh.write(record.to_json() + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
             shutil.copymode(target_path, tmp)
-        os.replace(tmp, target_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+            os.replace(tmp, target_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            if not existed and os.fstat(target.fileno()).st_size == 0:
+                os.unlink(target_path)  # made by _open_locked above
+            raise
     return len(records)

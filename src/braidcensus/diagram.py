@@ -129,57 +129,61 @@ class ArcGraph:
         return deg
 
 
+def line_bases(s: tuple[int, ...]) -> list[int]:
+    """Flat index of node c(i, 1) for each line i, then the line node count."""
+    bases = [0]
+    for si in s:
+        bases.append(bases[-1] + 2 * si + 1)
+    return bases
+
+
+def zone_arc_pairs(bl: int, br: int, sl: int, sr: int, a: int) -> list[tuple[int, int]]:
+    """(u, v) node pairs of the arcs of one zone at offset a, in rule order.
+
+    bl, br are the flat indices of c(i-1, 1), c(i, 1), and sl, sr are
+    s_{i-1}, s_i.  First come the a straight arcs, then the |sl - sr| box
+    arcs on the side with more points, outermost first, then the cross
+    arcs.  The census walks these pairs; build_arc_graph labels them.
+    """
+    bl -= 1  # pre-shifted for 1-based j
+    br -= 1
+    b = a + abs(sl - sr)
+    out = [(bl + j, br + j) for j in range(1, a + 1)]
+    if sl > sr:
+        out += [(bl + j, bl + 2 * b + 1 - j) for j in range(a + 1, b + 1)]
+        shift = 2 * (sl - sr)
+        out += [(bl + j + shift, br + j) for j in range(a + 1, 2 * sr + 2)]
+    elif sr > sl:
+        out += [(br + j, br + 2 * b + 1 - j) for j in range(a + 1, b + 1)]
+        shift = 2 * (sr - sl)
+        out += [(bl + j, br + j + shift) for j in range(a + 1, 2 * sl + 2)]
+    else:
+        out += [(bl + j, br + j) for j in range(a + 1, 2 * sl + 2)]
+    return out
+
+
 def build_arc_graph(
     c: VirtualCoordinates, closed_by_above: bool = False
 ) -> ArcGraph:
     """Apply the four arc rules and three puncture rules to a tuple."""
     n, s, a = c.n, c.s, c.a
-    bases = [0]
-    for i in range(n + 1):
-        bases.append(bases[-1] + 2 * s[i] + 1)
-    line_nodes = bases[n + 1]
-    top_start = line_nodes
-    node_count = line_nodes + (n - 1 if closed_by_above else 0)
-
-    def node(i: int, j: int) -> int:
-        return bases[i] + j - 1
-
+    bases = line_bases(s)
+    top_start = bases[-1]
+    node_count = top_start + (n - 1 if closed_by_above else 0)
     arcs: list[Arc] = []
     puncture_arcs: list[int] = []
     for i in range(1, n + 1):
-        sl, sr = s[i - 1], s[i]
-        ai = a[i - 1]
+        sl, sr, ai = s[i - 1], s[i], a[i - 1]
         b = ai + abs(sl - sr)
-        for j in range(1, ai + 1):
-            arcs.append(Arc(node(i - 1, j), node(i, j), i, STRAIGHT))
-        if sl > sr:
-            for j in range(ai + 1, b + 1):
-                arcs.append(Arc(node(i - 1, j), node(i - 1, 2 * b + 1 - j), i, LEFT_BOX))
-            shift = 2 * (sl - sr)
-            for j in range(ai + 1, 2 * sr + 2):
-                arcs.append(Arc(node(i - 1, j + shift), node(i, j), i, CROSS))
-            # the puncture sits on the innermost box arc c(i-1,b)--c(i-1,b+1)
-            puncture_arcs.append(_arc_index_of(arcs, node(i - 1, b), node(i - 1, b + 1)))
-        elif sr > sl:
-            for j in range(ai + 1, b + 1):
-                arcs.append(Arc(node(i, j), node(i, 2 * b + 1 - j), i, RIGHT_BOX))
-            shift = 2 * (sr - sl)
-            for j in range(ai + 1, 2 * sl + 2):
-                arcs.append(Arc(node(i - 1, j), node(i, j + shift), i, CROSS))
-            puncture_arcs.append(_arc_index_of(arcs, node(i, b), node(i, b + 1)))
-        else:
-            for j in range(ai + 1, 2 * sl + 2):
-                arcs.append(Arc(node(i - 1, j), node(i, j), i, CROSS))
-            puncture_arcs.append(_arc_index_of(arcs, node(i - 1, ai + 1), node(i, ai + 1)))
+        box = LEFT_BOX if sl > sr else RIGHT_BOX
+        # on the innermost (last) box arc, or on the first cross arc if s is level
+        puncture_arcs.append(len(arcs) + (b - 1 if sl != sr else ai))
+        for idx, (u, v) in enumerate(zone_arc_pairs(bases[i - 1], bases[i], sl, sr, ai)):
+            arcs.append(Arc(u, v, i, STRAIGHT if idx < ai else box if idx < b else CROSS))
     if closed_by_above:
-        if n == 1:
-            arcs.append(Arc(node(0, 1), node(1, 1), 1, CLOSURE))
-        else:
-            tops = [top_start + i for i in range(n - 1)]
-            arcs.append(Arc(node(0, 1), tops[0], 1, CLOSURE))
-            for i in range(1, n - 1):
-                arcs.append(Arc(tops[i - 1], tops[i], i + 1, CLOSURE))
-            arcs.append(Arc(tops[n - 2], node(n, 1), n, CLOSURE))
+        path = [0, *range(top_start, node_count), bases[n]]  # over the top, left to right
+        for i in range(1, n + 1):
+            arcs.append(Arc(path[i - 1], path[i], i, CLOSURE))
     return ArcGraph(
         n=n,
         s=s,
@@ -191,15 +195,6 @@ def build_arc_graph(
         closed=closed_by_above,
         top_start=top_start if closed_by_above else -1,
     )
-
-
-def _arc_index_of(arcs: list[Arc], u: int, v: int) -> int:
-    # the wanted arc is always among the ones just appended for this zone
-    for idx in range(len(arcs) - 1, -1, -1):
-        arc = arcs[idx]
-        if (arc.u == u and arc.v == v) or (arc.u == v and arc.v == u):
-            return idx
-    raise AssertionError(f"no arc between nodes {u} and {v}")
 
 
 def component_count(g: ArcGraph) -> int:

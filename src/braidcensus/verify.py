@@ -161,6 +161,24 @@ def verify_witnesses(
     return _result("witnesses", checked, failures)
 
 
+def _fuzz(suite: str, check: Callable, kmax: int, trials: int, nmax: int, seed: int) -> dict:
+    """Run check on seeded random tuples, naming each failing tuple."""
+    rng = random.Random(seed)
+    failures = []
+    checked = 0
+    for _ in range(trials):
+        n = rng.randint(1, nmax)
+        k = rng.randint(0, kmax)
+        c = coords.random_coordinates(rng, n, k)
+        checked += 1
+        problem = check(c)
+        if problem:
+            failures.append(f"{c}: {problem}")
+            if len(failures) >= MAX_FAILURES:
+                break
+    return _result(suite, checked, failures)
+
+
 def verify_tightness(
     kmax: int = 20, trials: int = 10_000, nmax: int = 8, seed: int = 20240602
 ) -> dict:
@@ -170,20 +188,7 @@ def verify_tightness(
     per-zone non-interleaving, and that closing by above never changes the
     component count.
     """
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for _ in range(trials):
-        n = rng.randint(1, nmax)
-        k = rng.randint(0, kmax)
-        c = coords.random_coordinates(rng, n, k)
-        checked += 1
-        problem = check_structure(c)
-        if problem:
-            failures.append(f"{c}: {problem}")
-            if len(failures) >= MAX_FAILURES:
-                break
-    return _result("tightness", checked, failures)
+    return _fuzz("tightness", check_structure, kmax, trials, nmax, seed)
 
 
 def check_structure(c: coords.VirtualCoordinates) -> str | None:
@@ -214,20 +219,7 @@ def verify_symmetry(
     kmax: int = 20, trials: int = 10_000, nmax: int = 8, seed: int = 20240603
 ) -> dict:
     """Mirror maps: involutions, commutation, connectivity invariance."""
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for _ in range(trials):
-        n = rng.randint(1, nmax)
-        k = rng.randint(0, kmax)
-        c = coords.random_coordinates(rng, n, k)
-        checked += 1
-        problem = check_symmetry(c)
-        if problem:
-            failures.append(f"{c}: {problem}")
-            if len(failures) >= MAX_FAILURES:
-                break
-    return _result("symmetry", checked, failures)
+    return _fuzz("symmetry", check_symmetry, kmax, trials, nmax, seed)
 
 
 def check_symmetry(c: coords.VirtualCoordinates) -> str | None:

@@ -36,8 +36,10 @@ class TestCountForSVector:
                 assert count_for_s_vector(SVector(n=3, s=(k, ell))) == c_pair(k, ell)
 
     def test_matches_diagram_brute_force(self, rng):
-        # the census kernel and the explicit graph path are independent
-        # code; they must agree on every s-vector
+        # both paths take their arcs from diagram.zone_arc_pairs; what is
+        # independent is the connectivity (the census's mate-array pass
+        # against the graph's union-find), and they must agree on every
+        # s-vector
         for _ in range(60):
             n = rng.randint(1, 6)
             k = rng.randint(0, 7) if n > 1 else 0
@@ -452,6 +454,79 @@ class TestCacheWriters:
         ):
             merge_caches(str(target), [str(source)])
         assert target.read_text(encoding="utf-8") == self.LINE
+
+
+class TestMergeLock:
+    LINE = '{"n": 2, "k": 1, "g": 2, "mode": "plain", "elapsed_ms": 0}\n'
+    TORN = '{"n": 2, "k": 2, "g"'
+    MERGED = CensusRecord(2, 1, 2, "plain", 0, "unknown").to_json() + "\n"
+
+    def test_add_during_merge_lands_in_the_merged_file(self, tmp_path, monkeypatch):
+        import os
+        import threading
+
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        target.write_text(self.LINE, encoding="utf-8")
+        source.write_text(
+            self.LINE.replace('"k": 1', '"k": 0').replace('"g": 2', '"g": 1'), encoding="utf-8"
+        )
+        writer = CensusCache(str(target))
+        record = CensusRecord(n=2, k=2, g=2, mode="plain", elapsed_ms=0)
+        adder = threading.Thread(target=writer.add, args=(record,))
+        real_replace = os.replace
+
+        def replace_after_an_add(src, dst):
+            # another writer appends to the target between merge's read and
+            # rename; without the merge holding the lock it lands in the old file
+            adder.start()
+            adder.join(timeout=0.5)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_an_add)
+        assert merge_caches(str(target), [str(source)]) == 2
+        adder.join(timeout=10)
+        assert not adder.is_alive()
+        merged = CensusCache(str(target))
+        assert [(r.n, r.k) for r in merged.records()] == [(2, 0), (2, 1), (2, 2)]
+
+    def test_failed_merge_into_missing_target_leaves_no_file(self, tmp_path, monkeypatch):
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        source.write_text(self.LINE, encoding="utf-8")
+
+        def failing_to_json(record):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(CensusRecord, "to_json", failing_to_json)
+        with pytest.raises(OSError, match="disk full"):
+            merge_caches(str(target), [str(source)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+
+    def test_torn_source_warning_promises_no_write(self, tmp_path, capsys):
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        source.write_text(self.LINE + self.TORN, encoding="utf-8")
+        before = source.read_bytes()
+        for _ in range(2):
+            assert merge_caches(str(target), [str(source)]) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                f"warning: {source}:2: ignoring incomplete final record "
+                f"({len(self.TORN)} bytes); merge leaves the source as it is\n"
+            )
+        assert source.read_bytes() == before
+        assert target.read_text(encoding="utf-8") == self.MERGED
+
+    def test_torn_target_is_mended_by_the_merge(self, tmp_path, capsys):
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        target.write_text(self.LINE + self.TORN, encoding="utf-8")
+        source.write_text(self.LINE, encoding="utf-8")
+        assert merge_caches(str(target), [str(source)]) == 1
+        assert capsys.readouterr().err == (
+            f"warning: {target}:2: ignoring incomplete final record "
+            f"({len(self.TORN)} bytes); the next write removes it\n"
+        )
+        assert target.read_text(encoding="utf-8") == self.MERGED
+        merge_caches(str(target), [str(source)])
+        assert capsys.readouterr().err == ""
 
 
 def reference_load(path):

@@ -125,6 +125,27 @@ class TestStructure:
             assert is_actual(sym_h(c)) == a
             assert is_actual(sym_v(c)) == a
 
+    def test_puncture_placement_for_each_zone_shape(self, rng):
+        # the module docstring's three puncture rules, checked by node pair
+        shapes = set()
+        for c in fuzz_coordinates(rng, 400, nmax=8, kmax=12):
+            for closed in (False, True):
+                g = build_arc_graph(c, closed_by_above=closed)
+                assert len(g.puncture_arcs) == c.n
+                for i in range(1, c.n + 1):
+                    sl, sr, ai = c.s[i - 1], c.s[i], c.a[i - 1]
+                    b = ai + abs(sl - sr)
+                    if sl > sr:
+                        want = {g.node(i - 1, b), g.node(i - 1, b + 1)}
+                    elif sr > sl:
+                        want = {g.node(i, b), g.node(i, b + 1)}
+                    else:
+                        want = {g.node(i - 1, ai + 1), g.node(i, ai + 1)}
+                    shapes.add((sl > sr) - (sl < sr))
+                    arc = g.arcs[g.puncture_arcs[i - 1]]
+                    assert {arc.u, arc.v} == want and arc.zone == i, (c, i)
+        assert shapes == {-1, 0, 1}
+
     def test_line_of_inverts_node(self, rng):
         for c in fuzz_coordinates(rng, 100):
             g = build_arc_graph(c)
