@@ -410,6 +410,11 @@ def _open_locked(path: str) -> IO[str]:
         fh.close()
 
 
+def _stamp_of(st: os.stat_result) -> tuple[int, int, int]:
+    """(device, inode, size): changes when a file is appended to, cut or replaced."""
+    return st.st_dev, st.st_ino, st.st_size
+
+
 def _as_records(rows: _Rows) -> list[CensusRecord]:
     return [CensusRecord(n, k, *row) for (n, k), row in sorted(rows.items())]
 
@@ -427,24 +432,25 @@ class CensusCache:
     add.  An unreadable line anywhere else is a hard error.
 
     Several handles, in one process or many, may add to one file: add
-    holds an exclusive lock around its append, and mends the file's tail
-    (cuts the torn line, or ends the last record's line) only while path
-    names the file this handle loaded, at the size it loaded, so it never
-    cuts a record that another handle appended since, or a merged file.
+    holds an exclusive lock around its append.  If the file is not the
+    file, at the size, that this handle last read or wrote with a clean
+    tail, add first reads it again under that lock: a record another
+    writer added since is kept (or conflicts) instead of being written
+    twice, and the tail is mended (the torn line cut, or the last
+    record's line ended) as that read found it.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._rows: _Rows = {}
-        self._loaded: tuple[int, int, int] | None = None  # (device, inode, size) at load
-        self._torn_at: int | None = None  # file size without the torn tail
-        self._unterminated = False  # last record lacks its newline
+        # the file as this handle last read or wrote it with a clean tail
+        self._stamp: tuple[int, int, int] | None = None
         if os.path.exists(path):
-            st, torn, self._unterminated = _read_rows(path, self._rows)
-            self._loaded = (st.st_dev, st.st_ino, st.st_size)
+            st, torn, unterminated = _read_rows(path, self._rows)
             if torn is not None:
                 _warn_torn(path, torn, "the next write removes it")
-                self._torn_at = st.st_size - torn[1]
+            elif not unterminated:
+                self._stamp = _stamp_of(st)
 
     def lookup(self, n: int, k: int) -> CensusRecord | None:
         row = self._rows.get((n, k))
@@ -452,26 +458,30 @@ class CensusCache:
 
     def add(self, record: CensusRecord) -> None:
         key = (record.n, record.k)
+        row = (record.g, record.mode, record.elapsed_ms, record.engine_version)
         existing = self._rows.get(key)
-        if existing is not None:
-            if existing[0] != record.g:
-                raise CacheConflictError(
-                    f"new result g({record.n},{record.k}) = {record.g} "
-                    f"conflicts with cached value {existing[0]}"
-                )
-            return
-        self._rows[key] = (record.g, record.mode, record.elapsed_ms, record.engine_version)
-        line = record.to_json() + "\n"
-        with _open_locked(self.path) as fh:
-            st = os.fstat(fh.fileno())
-            if (st.st_dev, st.st_ino, st.st_size) == self._loaded:  # untouched since load
-                if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
-                elif self._unterminated:
-                    line = "\n" + line
-            fh.write(line)
-        self._torn_at = None
-        self._unterminated = False
+        if existing is None:
+            with _open_locked(self.path) as fh:
+                st, torn, unterminated = os.fstat(fh.fileno()), None, False
+                if _stamp_of(st) != self._stamp:  # not as this handle last saw it
+                    st, torn, unterminated = _scan_rows(fh, self.path, self._rows)
+                    existing = self._rows.get(key)
+                if existing is None:
+                    line = record.to_json() + "\n"
+                    if torn is not None:
+                        fh.truncate(st.st_size - torn[1])
+                    elif unterminated:
+                        line = "\n" + line
+                    fh.write(line)
+                    fh.flush()
+                    self._rows[key] = row
+                    self._stamp = _stamp_of(os.fstat(fh.fileno()))
+                    return
+        if existing[0] != record.g:
+            raise CacheConflictError(
+                f"new result g({record.n},{record.k}) = {record.g} "
+                f"conflicts with cached value {existing[0]}"
+            )
 
     def records(self) -> list[CensusRecord]:
         return _as_records(self._rows)

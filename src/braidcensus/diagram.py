@@ -242,41 +242,24 @@ def zone_noninterleaving(g: ArcGraph) -> bool:
     endpoints; in that circular order the arcs must nest like balanced
     parentheses.  Holds for every graph the construction produces.
     """
-    n, s = g.n, g.s
-    first = g.node(0, 1)
-    last = g.node(n, 1)
-    for i in range(1, n + 1):
-        left_count = 2 * s[i - 1] + 1 + (1 if g.closed and 1 <= i - 1 <= n - 1 else 0)
-        right_count = 2 * s[i] + 1 + (1 if g.closed and 1 <= i <= n - 1 else 0)
-
-        def seq_pos(v: int, is_closure: bool) -> float:
-            # in the closed graph the endpoint markers carry two arcs; the
-            # closure one leaves/arrives above the regular one, so it gets
-            # its own boundary slot half a step toward the top
+    ends = (g.node(0, 1), g.node(g.n, 1))
+    zones: list[list[tuple[tuple[int, float], int]]] = [[] for _ in range(g.n + 1)]
+    for idx, arc in enumerate(g.arcs):
+        for v in (arc.u, arc.v):
             line, j = g.line_of(v)
-            if line == i - 1:
-                return j + (0.5 if is_closure and v == first else 0.0)
-            pos = left_count + (right_count - j + 1)
-            return pos - (0.5 if is_closure and v == last else 0.0)
-
-        endpoints: list[tuple[float, int]] = []
-        for idx, arc in enumerate(g.arcs):
-            if arc.zone == i:
-                closure = arc.kind == CLOSURE
-                endpoints.append((seq_pos(arc.u, closure), idx))
-                endpoints.append((seq_pos(arc.v, closure), idx))
+            if arc.kind == CLOSURE and v in ends:
+                # in the closed graph an endpoint marker carries two arcs; the
+                # closure one meets it half a step above the regular one
+                j += 0.5
+            zones[arc.zone].append(((0, j) if line == arc.zone - 1 else (1, -j), idx))
+    for endpoints in zones:
         endpoints.sort()
         stack: list[int] = []
-        open_set: set[int] = set()
         for _, idx in endpoints:
-            if idx in open_set:
-                if not stack or stack[-1] != idx:
-                    return False
+            if stack and stack[-1] == idx:
                 stack.pop()
-                open_set.discard(idx)
             else:
                 stack.append(idx)
-                open_set.add(idx)
         if stack:
             return False
     return True

@@ -12,6 +12,10 @@ from .coords import VirtualCoordinates
 from .diagram import CLOSURE, CROSS, LEFT_BOX, STRAIGHT, build_arc_graph
 
 MAX_CANVAS = 16000.0
+# layout in SVG user units: column per zone, step per point index, border
+ZONE_WIDTH = 72.0
+UNIT = 16.0
+MARGIN = 40.0
 
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n'
@@ -30,19 +34,13 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def render_svg(
-    c: VirtualCoordinates,
-    closed: bool = False,
-    zone_width: float = 72.0,
-    unit: float = 16.0,
-    margin: float = 40.0,
-) -> str:
+def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
     """Render one coordinate tuple as an SVG 1.1 document string."""
     g = build_arc_graph(c, closed_by_above=closed)
     n, s = g.n, g.s
     max_points = max(2 * si + 1 for si in s) + (1 if closed else 0)
-    width = 2 * margin + zone_width * n
-    height = 2 * margin + unit * (max_points + 1)
+    width = 2 * MARGIN + ZONE_WIDTH * n
+    height = 2 * MARGIN + UNIT * (max_points + 1)
     if width > MAX_CANVAS or height > MAX_CANVAS:
         raise RenderError(
             f"canvas {width:.0f}x{height:.0f} exceeds the {MAX_CANVAS:.0f} limit; "
@@ -50,10 +48,10 @@ def render_svg(
         )
 
     def x_of(i: int) -> float:
-        return margin + zone_width * i
+        return MARGIN + ZONE_WIDTH * i
 
     def y_of(j: int) -> float:
-        return height - margin - unit * j
+        return height - MARGIN - UNIT * j
 
     def pos(v: int) -> tuple[float, float]:
         i, j = g.line_of(v)
@@ -64,11 +62,11 @@ def render_svg(
     for i in range(1, n):
         x = _fmt(x_of(i))
         out.append(
-            f'<line x1="{x}" y1="{_fmt(margin / 2)}" x2="{x}" '
-            f'y2="{_fmt(height - margin / 2)}" stroke="#888888" stroke-width="2"/>\n'
+            f'<line x1="{x}" y1="{_fmt(MARGIN / 2)}" x2="{x}" '
+            f'y2="{_fmt(height - MARGIN / 2)}" stroke="#888888" stroke-width="2"/>\n'
         )
 
-    stub = zone_width / 3.0
+    stub = ZONE_WIDTH / 3.0
     puncture_xy: list[tuple[float, float]] = [(0.0, 0.0)] * n
     for idx, arc in enumerate(g.arcs):
         (xu, yu), (xv, yv) = pos(arc.u), pos(arc.v)

@@ -1,29 +1,27 @@
 """Self-check suites behind the CLI verify subcommand.
 
-Each suite is a thin driver over module-level properties: it walks a
-bounded search space, stops collecting after a handful of failures, and
-reports the first counterexample tuple by name.  Suites return a plain
-dict so the CLI can serialise them directly.
+Each suite is a generator over a bounded search space: it yields None for
+a check that passes, or a message naming the counterexample.  run_suite is
+the one driver.  It counts the checks, keeps the first MAX_FAILURES
+messages and stops there, and returns a plain dict the CLI serialises
+directly.
 """
 
 from __future__ import annotations
 
 import inspect
 import random
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import analysis, census, closedform, coords, diagram, perms
 
 MAX_FAILURES = 5
+FUZZ_TRIALS = 10_000
+FUZZ_NMAX = 8
+BOUNDS_NS = (2, 3, 4, 5)
+PRUNE_NMAX = 5
 
-
-def _result(suite: str, checked: int, failures: list[str]) -> dict:
-    return {
-        "suite": suite,
-        "ok": not failures,
-        "checked": checked,
-        "failures": failures,
-    }
+Checks = Iterator[str | None]
 
 
 def _census_table(
@@ -34,161 +32,101 @@ def _census_table(
     return [r.g for r in records]
 
 
-def verify_b2(kmax: int = 200, threads: int | None = None) -> dict:
+def verify_b2(kmax: int = 200, threads: int | None = None) -> Checks:
     """Census on 2 strands against the constant closed form."""
-    failures = []
-    checked = 0
     for k, got in enumerate(_census_table(2, kmax, threads)):
-        checked += 1
         want = closedform.g2(k)
-        if got != want:
-            failures.append(f"g(2,{k}) census={got} closedform={want}")
-            if len(failures) >= MAX_FAILURES:
-                break
-    return _result("b2", checked, failures)
+        yield None if got == want else f"g(2,{k}) census={got} closedform={want}"
 
 
-def verify_b3_closed_form(kmax: int = 30, threads: int | None = None) -> dict:
+def verify_b3_closed_form(kmax: int = 30, threads: int | None = None) -> Checks:
     """Triple agreement of the 3-strand evaluators, plus the census."""
-    failures = []
-    checked = 0
     table = closedform.totient_sieve(kmax + 2)
     for k, via_census in enumerate(_census_table(3, kmax, threads)):
-        checked += 1
         via_totient = closedform.g3_totient(k, table)
         via_c = closedform.g3_via_c(k)
         via_gamma = closedform.g3_via_gamma(k, table)
-        if not via_totient == via_c == via_gamma == via_census:
-            failures.append(
-                f"g(3,{k}): totient={via_totient} pairs={via_c} "
-                f"gamma={via_gamma} census={via_census}"
-            )
-            if len(failures) >= MAX_FAILURES:
-                break
-    return _result("b3-closed-form", checked, failures)
+        yield None if via_totient == via_c == via_gamma == via_census else (
+            f"g(3,{k}): totient={via_totient} pairs={via_c} "
+            f"gamma={via_gamma} census={via_census}"
+        )
 
 
-def verify_cyclicity(nmax: int = 40) -> dict:
+def verify_cyclicity(nmax: int = 40) -> Checks:
     """gcd criteria against orbit counting, exhaustively up to modulus nmax."""
-    failures = []
-    checked = 0
     for n in range(1, nmax + 1):
         for a in range(n + 1):
-            checked += 1
             fast = perms.is_cyclic_translation(n, a)
             slow = perms.orbit_count(perms.Translation(n, a)) == 1
-            if fast != slow:
-                failures.append(f"T({n},{a}): gcd says {fast}, orbits say {slow}")
+            yield None if fast == slow else f"T({n},{a}): gcd says {fast}, orbits say {slow}"
         for a in range(n + 1):
             for b in range(n - a + 1):
                 for c in range(n - a - b + 1):
-                    checked += 1
                     fast = perms.is_cyclic_translated_cut(n, a, b, c)
                     slow = perms.orbit_count(perms.TranslatedCut(n, a, b, c)) == 1
-                    if fast != slow:
-                        failures.append(
-                            f"TCut({n},{a},{b},{c}): gcd says {fast}, "
-                            f"orbits say {slow}"
-                        )
-                        if len(failures) >= MAX_FAILURES:
-                            return _result("cyclicity", checked, failures)
-    return _result("cyclicity", checked, failures)
+                    yield None if fast == slow else (
+                        f"TCut({n},{a},{b},{c}): gcd says {fast}, orbits say {slow}"
+                    )
 
 
-def verify_theta_bridge(kmax: int = 20) -> dict:
+def verify_theta_bridge(kmax: int = 20) -> Checks:
     """Cyclic orbit map iff connected tuple, for every reduced 3-strand case."""
-    failures = []
-    checked = 0
     for k in range(1, kmax + 1):
         for ell in range(k + 1, kmax + 1):
             for a2 in range(2 * k + 2):
                 for a3 in (0, 1):
-                    checked += 1
                     regime = perms.B3Regime(k=k, ell=ell, a2=a2, a3=a3)
                     perm = perms.theta(regime)
                     cyclic = perm is not None and perms.orbit_count_of(perm) == 1
                     fast = perms.theta_is_cyclic(regime)
                     c = coords.validate(3, (0, 1, k, a2, ell, a3, 0))
                     actual = diagram.is_actual(c)
-                    if not cyclic == fast == actual:
-                        failures.append(
-                            f"{c}: orbit map cyclic={cyclic} gcd={fast} "
-                            f"connected={actual}"
-                        )
-                        if len(failures) >= MAX_FAILURES:
-                            return _result("theta-bridge", checked, failures)
-    return _result("theta-bridge", checked, failures)
+                    yield None if cyclic == fast == actual else (
+                        f"{c}: orbit map cyclic={cyclic} gcd={fast} connected={actual}"
+                    )
 
 
-def verify_bounds(
-    kmax: int = 10, threads: int | None = None, ns: tuple[int, ...] = (2, 3, 4, 5)
-) -> dict:
+def verify_bounds(kmax: int = 10, threads: int | None = None) -> Checks:
     """Sandwich bounds on censused counts, exact arithmetic."""
-    failures = []
-    checked = 0
-    for n in ns:
+    for n in BOUNDS_NS:
         for k, g in enumerate(_census_table(n, kmax, threads)):
-            checked += 1
             report = analysis.BoundReport.build(n, k, g)
-            if not report.verdict:
-                failures.append(
-                    f"g({n},{k})={g} outside [{report.lower}, {report.upper}]"
-                )
-                if len(failures) >= MAX_FAILURES:
-                    return _result("bounds", checked, failures)
-    return _result("bounds", checked, failures)
+            yield None if report.verdict else (
+                f"g({n},{k})={g} outside [{report.lower}, {report.upper}]"
+            )
 
 
-def verify_witnesses(
-    kmax: int = 30, trials: int = 10_000, nmax: int = 8, seed: int = 20240601
-) -> dict:
-    """Witness construction yields a connected tuple on random s-vectors."""
-    rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for _ in range(trials):
-        n = rng.randint(1, nmax)
-        k = rng.randint(0, kmax)
-        c = coords.random_coordinates(rng, n, k)
-        sv = coords.SVector(n=n, s=c.s[1:-1])
-        checked += 1
-        try:
-            analysis.witness_a_for_s(sv, verify=True)
-        except AssertionError as exc:
-            failures.append(str(exc))
-            if len(failures) >= MAX_FAILURES:
-                break
-    return _result("witnesses", checked, failures)
-
-
-def _fuzz(suite: str, check: Callable, kmax: int, trials: int, nmax: int, seed: int) -> dict:
+def _fuzz(check: Callable, kmax: int, seed: int) -> Checks:
     """Run check on seeded random tuples, naming each failing tuple."""
     rng = random.Random(seed)
-    failures = []
-    checked = 0
-    for _ in range(trials):
-        n = rng.randint(1, nmax)
+    for _ in range(FUZZ_TRIALS):
+        n = rng.randint(1, FUZZ_NMAX)
         k = rng.randint(0, kmax)
         c = coords.random_coordinates(rng, n, k)
-        checked += 1
         problem = check(c)
-        if problem:
-            failures.append(f"{c}: {problem}")
-            if len(failures) >= MAX_FAILURES:
-                break
-    return _result(suite, checked, failures)
+        yield f"{c}: {problem}" if problem else None
 
 
-def verify_tightness(
-    kmax: int = 20, trials: int = 10_000, nmax: int = 8, seed: int = 20240602
-) -> dict:
+def verify_witnesses(kmax: int = 30) -> Checks:
+    """Witness construction yields a connected tuple on random s-vectors."""
+    return _fuzz(_check_witness, kmax, 20240601)
+
+
+def _check_witness(c: coords.VirtualCoordinates) -> str | None:
+    w = analysis.witness_a_for_s(coords.SVector(n=c.n, s=c.s[1:-1]), verify=False)
+    if diagram.is_actual(w):
+        return None
+    return f"witness construction produced a disconnected tuple {w}"
+
+
+def verify_tightness(kmax: int = 20) -> Checks:
     """Structural invariants of reconstructed graphs on fuzzed tuples.
 
     Checks endpoint degrees, puncture placement on minimal same-line arcs,
     per-zone non-interleaving, and that closing by above never changes the
     component count.
     """
-    return _fuzz("tightness", check_structure, kmax, trials, nmax, seed)
+    return _fuzz(check_structure, kmax, 20240602)
 
 
 def check_structure(c: coords.VirtualCoordinates) -> str | None:
@@ -215,11 +153,9 @@ def check_structure(c: coords.VirtualCoordinates) -> str | None:
     return None
 
 
-def verify_symmetry(
-    kmax: int = 20, trials: int = 10_000, nmax: int = 8, seed: int = 20240603
-) -> dict:
+def verify_symmetry(kmax: int = 20) -> Checks:
     """Mirror maps: involutions, commutation, connectivity invariance."""
-    return _fuzz("symmetry", check_symmetry, kmax, trials, nmax, seed)
+    return _fuzz(check_symmetry, kmax, 20240603)
 
 
 def check_symmetry(c: coords.VirtualCoordinates) -> str | None:
@@ -237,25 +173,16 @@ def check_symmetry(c: coords.VirtualCoordinates) -> str | None:
     return None
 
 
-def verify_prune_consistency(
-    kmax: int = 8, nmax: int = 5, threads: int | None = None
-) -> dict:
+def verify_prune_consistency(kmax: int = 8, threads: int | None = None) -> Checks:
     """Pruned census equals plain census on a grid of (n, k)."""
-    failures = []
-    checked = 0
-    for n in range(1, nmax + 1):
+    for n in range(1, PRUNE_NMAX + 1):
         plains = _census_table(n, kmax, threads)
         pruneds = _census_table(n, kmax, threads, prune=True)
         for k, (plain, pruned) in enumerate(zip(plains, pruneds)):
-            checked += 1
-            if plain != pruned:
-                failures.append(f"g({n},{k}): plain={plain} pruned={pruned}")
-                if len(failures) >= MAX_FAILURES:
-                    return _result("prune-consistency", checked, failures)
-    return _result("prune-consistency", checked, failures)
+            yield None if plain == pruned else f"g({n},{k}): plain={plain} pruned={pruned}"
 
 
-SUITES: dict[str, Callable[..., dict]] = {
+SUITES: dict[str, Callable[..., Checks]] = {
     "b2": verify_b2,
     "b3-closed-form": verify_b3_closed_form,
     "cyclicity": verify_cyclicity,
@@ -269,7 +196,11 @@ SUITES: dict[str, Callable[..., dict]] = {
 
 
 def run_suite(name: str, kmax: int | None = None, threads: int | None = None) -> dict:
-    """Run one suite; kmax goes to the suite's first parameter, its size bound."""
+    """Run one suite: count its checks and keep the first MAX_FAILURES messages.
+
+    kmax goes to the suite's first parameter, its size bound, and threads
+    only to the suites that take it.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
     suite = SUITES[name]
@@ -282,4 +213,12 @@ def run_suite(name: str, kmax: int | None = None, threads: int | None = None) ->
         kwargs[size] = kmax
     if threads is not None and "threads" in params:
         kwargs["threads"] = threads
-    return suite(**kwargs)
+    checked = 0
+    failures: list[str] = []
+    for problem in suite(**kwargs):
+        checked += 1
+        if problem:
+            failures.append(problem)
+            if len(failures) == MAX_FAILURES:
+                break
+    return {"suite": name, "ok": not failures, "checked": checked, "failures": failures}

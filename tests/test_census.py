@@ -442,6 +442,26 @@ class TestCacheWriters:
         assert not writer.is_alive()
         assert CensusCache(str(path)).lookup(2, 2) == record
 
+    def test_handle_opened_before_a_merge_does_not_append_a_duplicate(self, tmp_path):
+        target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        target.write_text("", encoding="utf-8")
+        source.write_text(self.LINE, encoding="utf-8")
+        stale = CensusCache(str(target))
+        merge_caches(str(target), [str(source)])
+        stale.add(CensusRecord(n=2, k=1, g=2, mode="plain", elapsed_ms=0))
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 1
+        assert stale.lookup(2, 1).engine_version == "unknown"  # the merged record
+
+    def test_stale_handle_conflict_writes_nothing(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first, second = CensusCache(str(path)), CensusCache(str(path))
+        first.add(CensusRecord(n=3, k=1, g=4, mode="plain", elapsed_ms=0))
+        before = path.read_bytes()
+        with pytest.raises(CacheConflictError, match=r"g\(3,1\) = 5 conflicts with cached value 4"):
+            second.add(CensusRecord(n=3, k=1, g=5, mode="plain", elapsed_ms=0))
+        assert path.read_bytes() == before
+        assert CensusCache(str(path)).lookup(3, 1).g == 4
+
     def test_merge_conflict_names_the_source_line(self, tmp_path):
         target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
         target.write_text(self.LINE, encoding="utf-8")

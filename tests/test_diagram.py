@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from braidcensus.coords import validate
@@ -104,6 +106,21 @@ class TestStructure:
             assert zone_noninterleaving(build_arc_graph(c))
             assert zone_noninterleaving(build_arc_graph(c, closed_by_above=True))
 
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_swapped_endpoints_interleave(self, closed):
+        # zone 1 holds the box arc c(1,1)-c(1,2) inside the cross arc
+        # c(0,1)-c(1,3); swapping their right ends makes them interleave
+        g = build_arc_graph(validate(2, (0, 0, 1, 1, 0)), closed_by_above=closed)
+        box, cross = (
+            next(i for i, a in enumerate(g.arcs) if a.zone == 1 and a.kind == kind)
+            for kind in (RIGHT_BOX, CROSS)
+        )
+        arcs = list(g.arcs)
+        arcs[box] = arcs[box]._replace(v=g.arcs[cross].v)
+        arcs[cross] = arcs[cross]._replace(v=g.arcs[box].v)
+        assert zone_noninterleaving(g)
+        assert not zone_noninterleaving(replace(g, arcs=tuple(arcs)))
+
     def test_tightness_examples(self):
         assert tightness_check(build_arc_graph(validate(2, (0, 0, 1, 1, 0))))
         assert tightness_check(build_arc_graph(validate(2, (0, 0, 0, 0, 0))))
@@ -111,6 +128,13 @@ class TestStructure:
     def test_tightness_fuzz(self, rng):
         for c in fuzz_coordinates(rng, 400):
             assert tightness_check(build_arc_graph(c))
+
+    def test_tightness_fails_on_a_moved_puncture(self):
+        g = build_arc_graph(validate(2, (0, 0, 1, 1, 0)))
+        cross = next(i for i, a in enumerate(g.arcs) if a.zone == 1 and a.kind == CROSS)
+        moved = replace(g, puncture_arcs=(cross, *g.puncture_arcs[1:]))
+        assert tightness_check(g)
+        assert not tightness_check(moved)
 
     def test_tightness_rejects_closed_graphs(self):
         g = build_arc_graph(validate(2, (0, 0, 1, 1, 0)), closed_by_above=True)

@@ -1,0 +1,167 @@
+"""Compare the observable output of two braidcensus checkouts.
+
+    python tools/compare_checkouts.py BASE_DIR CHANGED_DIR
+
+Each checkout's src/ is imported in its own subprocess, which prints one
+JSON object of probe results; the two objects are compared key by key and
+every key that differs is printed with both values.  Probes:
+
+  verify:<suite>:<size>   `braidcensus verify --suite S [--kmax K] --threads 1`
+                          stdout, at the default size and at the sizes
+                          tests/test_cli.py runs
+  fault:<name>            run_suite output with one function patched wrong
+  nesting:real|swapped    zone_noninterleaving on fuzzed graphs, open and
+                          closed, and on copies with the far ends of two
+                          same-zone arcs swapped: a digest and the counts
+  svg                     a digest of render_svg bytes on fuzzed tuples
+
+Exit status: 0 when every probe agrees, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from dataclasses import replace
+
+# the sizes TestVerify.test_every_suite_passes runs (tests/test_cli.py)
+SUITE_SIZE = {
+    "b2": 10, "b3-closed-form": 8, "cyclicity": 8, "theta-bridge": 6, "bounds": 4,
+    "witnesses": 8, "tightness": 8, "symmetry": 8, "prune-consistency": 4,
+}
+GRAPHS = 20_000  # tuples for the nesting probe; each is built open and closed
+SVGS = 1_000  # tuples for the svg probe; each is drawn open and closed
+
+
+def _digest(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(repr(item).encode())
+    return h.hexdigest()[:16]
+
+
+def _faults() -> dict:
+    from braidcensus import analysis, closedform, diagram, perms, verify
+
+    def run(suite, kmax, patches):
+        reals = [(module, name, getattr(module, name)) for module, name, _ in patches]
+        for module, name, fake in patches:
+            setattr(module, name, fake)
+        try:
+            return verify.run_suite(suite, kmax=kmax, threads=1)
+        finally:
+            for module, name, real in reals:
+                setattr(module, name, real)
+
+    g2 = closedform.g2
+    never = lambda *args: False  # noqa: E731
+    return {
+        "fault:g2-odd": run("b2", 20, [(closedform, "g2", lambda k: g2(k) + k % 2)]),
+        "fault:translation-cyclic": run(
+            "cyclicity", 12, [(perms, "is_cyclic_translation", lambda n, a: True)]
+        ),
+        "fault:interleaving": run("tightness", None, [(diagram, "zone_noninterleaving", never)]),
+        # analysis holds its own reference, which the parent's witness suite calls
+        "fault:disconnected": run(
+            "witnesses", None, [(diagram, "is_actual", never), (analysis, "is_actual", never)]
+        ),
+    }
+
+
+def _swapped(g, rng):
+    """g with the v ends of two arcs of one zone exchanged, or None."""
+    zone = rng.randint(1, g.n)
+    idxs = [i for i, arc in enumerate(g.arcs) if arc.zone == zone]
+    if len(idxs) < 2:
+        return None
+    x, y = rng.sample(idxs, 2)
+    arcs = list(g.arcs)
+    arcs[x], arcs[y] = arcs[x]._replace(v=g.arcs[y].v), arcs[y]._replace(v=g.arcs[x].v)
+    return replace(g, arcs=tuple(arcs))
+
+
+def _nesting() -> dict:
+    from braidcensus import coords, diagram
+
+    rng = random.Random(4711)
+    real, swapped = [], []
+    for _ in range(GRAPHS):
+        c = coords.random_coordinates(rng, rng.randint(1, 8), rng.randint(0, 12))
+        for closed in (False, True):
+            g = diagram.build_arc_graph(c, closed_by_above=closed)
+            real.append(diagram.zone_noninterleaving(g))
+            s = _swapped(g, rng)
+            if s is not None:
+                swapped.append(diagram.zone_noninterleaving(s))
+    return {
+        f"nesting:{name}": {"graphs": len(got), "false": got.count(False), "digest": _digest(got)}
+        for name, got in (("real", real), ("swapped", swapped))
+    }
+
+
+def _svg() -> dict:
+    from braidcensus import coords, render
+
+    rng = random.Random(90210)
+    docs = []
+    for _ in range(SVGS):
+        c = coords.random_coordinates(rng, rng.randint(1, 8), rng.randint(0, 12))
+        docs += [render.render_svg(c), render.render_svg(c, closed=True)]
+    return {"svg": {"documents": len(docs), "digest": _digest(docs)}}
+
+
+def _verify_outputs() -> dict:
+    out = {}
+    for suite in sorted(SUITE_SIZE):
+        for size in (None, SUITE_SIZE[suite]):
+            argv = ["verify", "--suite", suite, "--threads", "1"]
+            if size is not None:
+                argv += ["--kmax", str(size)]
+            run = subprocess.run(
+                [sys.executable, "-m", "braidcensus", *argv], capture_output=True, text=True
+            )
+            out[f"verify:{suite}:{size or 'default'}"] = [run.returncode, run.stdout]
+    return out
+
+
+def probe() -> None:
+    results = _verify_outputs()
+    for part in (_faults, _nesting, _svg):
+        results.update(part())
+    print(json.dumps(results))
+
+
+def collect(checkout: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    run = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--probe"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(run.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--probe"]:
+        probe()
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    base, changed = (collect(path) for path in argv)
+    differ = 0
+    for key in sorted(base.keys() | changed.keys()):
+        if base.get(key) == changed.get(key):
+            print(f"same     {key}  {json.dumps(base[key])[:100]}")
+        else:
+            differ += 1
+            print(f"DIFFERS  {key}\n  base:    {base.get(key)}\n  changed: {changed.get(key)}")
+    print(f"{len(base.keys() | changed.keys()) - differ} probes agree, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
