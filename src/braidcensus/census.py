@@ -16,17 +16,33 @@ Each node gets exactly one arc from each zone beside its line, so every
 component is a path or a closed loop, and every tuple has exactly one arc
 fewer than nodes: a tuple is connected iff no arc closes a loop.  After
 zones 1..i, every node left of line L_i except node 0 has degree 2, so the
-path ends are node 0 and the nodes on L_i.  The line state is the mate
-(other end of its path) of each node on L_i and of node 0, plus, in pruned
-mode, whether the prefix is still its own mirror.  Prefixes that share a
-line state have the same futures, so the walk is a forward pass that keeps
-{line state: number of prefixes} and applies each offset of the next zone
-once per state (the transfer matrix of I. Jensen, "A transfer matrix
-approach to the enumeration of plane meanders", J. Phys. A 33 (2000)
-5953, taken within one s-vector).  An arc (u, v) closes a loop iff
+path ends are node 0 and the nodes on L_i.  The line state records, for
+each node on L_i, where the other end of its path (its mate) is: the
+mate's position on L_i plus one, or 0 when the mate is node 0.  The walk
+keys its states by line state plus, in pruned mode, whether the prefix is
+still its own mirror.  Prefixes that share a state have the same futures,
+so the walk is a forward pass that keeps {state: number of prefixes} and
+applies each offset of the next zone once per state (the transfer matrix
+of I. Jensen, "A transfer matrix approach to the enumeration of plane
+meanders", J. Phys. A 33 (2000) 5953).  An arc (u, v) closes a loop iff
 mate[u] == v; otherwise it joins two paths, and the outer ends become
 mates: mate[mate[u]], mate[mate[v]] = mate[v], mate[u].  A closed loop
 never opens again, so such a transition is dead.
+
+Because the state names no node outside its own line, a zone's
+transition depends only on (s_{i-1}, s_i) and the state on L_{i-1}, not on
+the zone's place in the s-vector nor on the rest of the s-vector: its arcs
+at each offset are the arc rules applied to those two lines, and they
+touch no other node.  So the transitions are memoised as
+{(s_{i-1}, s_i): {state: per offset, the state on L_i, or None where a
+loop closes}}, with the arcs built in a local frame only on a miss, and
+sharing them between s-vectors gives each s-vector exactly the counts it
+gets alone.  States are bytes while the line has fewer than 256 nodes and
+tuples beyond; next states are interned.  The memo shared by work units
+lives for one count_table or count_actual call: it is cleared when the
+call starts and when it ends, pool workers inherit it when they fork and
+drop it when they exit, and count_for_s_vector or a bare _walk uses a
+fresh one.
 
 tuples_examined counts every tuple the pass covers, as a walk over single
 prefixes would: a dead transition from a state reached by c prefixes adds
@@ -82,6 +98,9 @@ _DECODER = json.JSONDecoder()
 
 # (n, k) -> (g, mode, elapsed_ms, engine_version): a cache record as loaded
 _Rows = dict[tuple[int, int], tuple[int, str, int, str]]
+# a line state: per node on the line, its mate's position on the line plus
+# one, or 0 for node 0; bytes while the line has fewer than 256 nodes
+_State = bytes | tuple[int, ...]
 # a scanned file's stat, (line number, bytes) of a torn final line, unterminated
 _Scan = tuple[os.stat_result, tuple[int, int] | None, bool]
 
@@ -113,83 +132,135 @@ class CensusRecord:
         )
 
 
+def _arc_table(bl: int, br: int, sl: int, sr: int) -> list[list[tuple[int, int]]]:
+    """Arc pairs of one zone per offset, with its lines' first nodes at bl, br."""
+    return [zone_arc_pairs(bl, br, sl, sr, a) for a in range(a_range_size(sl, sr))]
+
+
 def _zone_tables(sv: SVector) -> tuple[list[list[list[tuple[int, int]]]], int]:
     """Arc pairs per zone and offset, from diagram's arc rules, and the node count."""
     s = sv.full()
     bases = line_bases(s)
     tables = [
-        [zone_arc_pairs(bl, br, sl, sr, a) for a in range(a_range_size(sl, sr))]
+        _arc_table(bl, br, sl, sr)
         for bl, br, sl, sr in zip(bases, bases[1:], s, s[1:])
     ]
     return tables, bases[-1]
 
 
-def _walk(sv: SVector, mirror: bool) -> tuple[int, int]:
+class _Transitions:
+    """Zone transitions on relative line states, valid for every s-vector.
+
+    zones maps (s_{i-1}, s_i) to {state on L_{i-1}: the state on L_i per
+    offset, None where an arc closes a loop}; states interns those states.
+    """
+
+    def __init__(self) -> None:
+        self.zones: dict[tuple[int, int], dict[_State, tuple[_State | None, ...]]] = {}
+        self.states: dict[_State, _State] = {}
+
+    def clear(self) -> None:
+        self.zones.clear()
+        self.states.clear()
+
+    def step(
+        self, sr: int, line: _State, pairs: list[list[tuple[int, int]]]
+    ) -> tuple[_State | None, ...]:
+        """The state on L_i after each offset's arcs (pairs) from line on L_{i-1}.
+
+        pairs use the local frame: node 0, then L_i's nodes at 1 .. 2sr+1,
+        then L_{i-1}'s.  A node on L_i then has its position plus one as its
+        index, so the mates of L_i's nodes are the next state as they stand.
+        """
+        left = 2 * sr + 2
+        pack = bytes if left <= 256 else tuple
+        intern = self.states.setdefault
+        start = list(range(left))
+        start += [m and m + left - 1 for m in line]
+        start[0] = line.index(0) + left
+        out: list[_State | None] = []
+        for arcs in pairs:
+            mate = start.copy()
+            for u, v in arcs:
+                mu = mate[u]
+                if mu == v:
+                    out.append(None)  # u and v end one path: this arc closes a loop
+                    break
+                mv = mate[v]
+                mate[mu] = mv
+                mate[mv] = mu
+            else:
+                state = pack(mate[1:left])
+                out.append(intern(state, state))
+        return tuple(out)
+
+
+# transitions shared by the s-vectors of one census call (see _count_rows);
+# every entry is exact for any s-vector, so calls that overlap in one
+# process, sharing or clearing it, still get exact counts
+_MEMO = _Transitions()
+
+
+def _walk(sv: SVector, mirror: bool, memo: _Transitions | None = None) -> tuple[int, int]:
     """(connected count, tuples examined) for one s-vector.
 
     A forward pass over line states (see the module docstring): each
     offset of a zone is applied once per state, weighted by the number of
-    prefixes that reach the state.  A transition that closes a loop is
-    dead, and its subtree's leaves still count as examined.  With mirror,
-    one offset tuple per mirror pair is evaluated: a_i maps to
-    (range_i - 1) - a_i, and the comparison with the mirror is decided at
-    the first position where 2 a_i != range_i - 1.  Smaller means this
-    tuple represents a pair (weight 2), larger means its mirror is counted
-    instead (skip the subtree).  Fully central tuples are their own mirror
-    (weight 1).
+    prefixes that reach the state, and the transition is taken from memo
+    (a fresh one when None) when an earlier s-vector already made it.  A
+    transition that closes a loop is dead, and its subtree's leaves still
+    count as examined.  With mirror, one offset tuple per mirror pair is
+    evaluated: a_i maps to (range_i - 1) - a_i, and the comparison with
+    the mirror is decided at the first position where 2 a_i != range_i - 1.
+    Smaller means this tuple represents a pair (weight 2), larger means its
+    mirror is counted instead (skip the subtree).  Fully central tuples are
+    their own mirror (weight 1).
     """
-    tables, node_count = _zone_tables(sv)
+    if memo is None:
+        memo = _Transitions()
     s = sv.full()
-    last = len(tables) - 1
+    shapes = list(zip(s, s[1:]))
+    sizes = [a_range_size(sl, sr) for sl, sr in shapes]
+    last = len(shapes) - 1
     # leaves[zi]: offset tuples below one prefix that ends at zone zi;
     # central[zi]: the mirror representatives among them when the prefix
     # is still its own mirror (half, plus the all-central suffix if any)
-    leaves = [1] * len(tables)
-    odd = [True] * len(tables)
+    leaves = [1] * len(shapes)
+    odd = [True] * len(shapes)
     for zi in range(last, 0, -1):
-        size = len(tables[zi])
-        leaves[zi - 1] = leaves[zi] * size
-        odd[zi - 1] = odd[zi] and size % 2 == 1
+        leaves[zi - 1] = leaves[zi] * sizes[zi]
+        odd[zi - 1] = odd[zi] and sizes[zi] % 2 == 1
     central = [(count + o) // 2 for count, o in zip(leaves, odd)]
     pair_weight = 2 if mirror else 1
-    identity = list(range(node_count))
     actual = 0
     examined = 0
-    # {(mates of the nodes on the line, mate of node 0, undecided): prefixes}
-    states = {((0,), 0, mirror): 1}
-    lo = 0  # first node on the current line
-    for zi, table in enumerate(tables):
-        hi = lo + 2 * s[zi] + 1  # the next line's nodes are hi .. end - 1
-        end = hi + 2 * s[zi + 1] + 1
-        top = len(table) - 1
-        following: dict[tuple[tuple[int, ...], int, bool], int] = {}
-        for (line, mate0, undecided0), c in states.items():
-            for a, pairs in enumerate(table):
-                if undecided0:
-                    if 2 * a > top:
-                        break  # larger than its mirror: counted there
-                    undecided = 2 * a == top
-                else:
-                    undecided = False
-                mate = identity.copy()
-                mate[lo:hi] = line
-                mate[0] = mate0
-                for u, v in pairs:
-                    mu = mate[u]
-                    if mu == v:
-                        break  # u and v end one path: this arc closes a loop
-                    mv = mate[v]
-                    mate[mu] = mv
-                    mate[mv] = mu
-                else:
+    # {(line state, undecided): prefixes}.  L_0's one node is node 0 itself;
+    # its state treats it as a path to a separate node 0, a pendant end
+    # that closes no loop
+    states: dict[tuple[_State, bool], int] = {(b"\0", mirror): 1}
+    for zi, (sl, sr) in enumerate(shapes):
+        known = memo.zones.setdefault((sl, sr), {})
+        pairs = None  # this zone's local arc table, built on the first miss
+        top = sizes[zi] - 1
+        following: dict[tuple[_State, bool], int] = {}
+        for (line, undecided0), c in states.items():
+            nexts = known.get(line)
+            if nexts is None:
+                if pairs is None:  # in step's local frame
+                    pairs = _arc_table(2 * sr + 2, 1, sl, sr)
+                nexts = known[line] = memo.step(sr, line, pairs)
+            if undecided0:
+                nexts = nexts[: top // 2 + 1]  # a larger offset's mirror counts it
+            for a, state in enumerate(nexts):
+                undecided = undecided0 and 2 * a == top
+                if state is not None:
                     if zi < last:
-                        key = (tuple(mate[hi:end]), mate[0], undecided)
+                        key = (state, undecided)
                         following[key] = following.get(key, 0) + c
                         continue
                     actual += c if undecided else c * pair_weight
                 examined += c * (central[zi] if undecided else leaves[zi])
         states = following
-        lo = hi
     return actual, examined
 
 
@@ -200,7 +271,7 @@ def count_for_s_vector(sv: SVector) -> int:
 
 def _worker(args: tuple[int, tuple[int, ...], str, int]) -> tuple[int, int]:
     n, interior, mode, weight = args
-    actual, examined = _walk(SVector(n=n, s=interior), mirror=mode == MODE_PRUNED)
+    actual, examined = _walk(SVector(n=n, s=interior), mode == MODE_PRUNED, _MEMO)
     return actual * weight, examined
 
 
@@ -208,9 +279,12 @@ def default_threads() -> int:
     """Worker count: CENSUS_THREADS when set, else the CPU count."""
     env = os.environ.get("CENSUS_THREADS")
     if env:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
         if value < 1:
-            raise ValueError(f"CENSUS_THREADS must be >= 1, got {env!r}")
+            raise ValueError(f"CENSUS_THREADS must be an integer >= 1, got {env!r}")
         return value
     return os.cpu_count() or 1
 
@@ -283,6 +357,7 @@ def _count_rows(
     )
     pool = None
     records = []
+    _MEMO.clear()  # workers forked below inherit it as it is then
     try:
         for k, record in hits.items():
             if record is None:
@@ -302,6 +377,7 @@ def _count_rows(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+        _MEMO.clear()
     return records
 
 

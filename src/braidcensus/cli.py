@@ -2,9 +2,10 @@
 
 Machine-readable results go to stdout (JSON by default, CSV on request);
 progress and errors go to stderr.  Exit codes: 0 success, 1 verification
-failure, data conflict or a worker process that died (its pool is broken),
-2 usage error (bad flags, bad coordinate syntax, bad ranges), 130
-interrupted (Ctrl-C).  A failure prints one "error: ..." line and an
+failure, data conflict, a worker process that died (its pool is broken) or
+a named file that cannot be read or written (an OSError, such as a missing
+directory), 2 usage error (bad flags, bad coordinate syntax, bad ranges),
+130 interrupted (Ctrl-C).  A failure prints one "error: ..." line and an
 interrupt one "interrupted" line on stderr, without a traceback.
 """
 
@@ -246,7 +247,7 @@ def run(argv: list[str] | None = None) -> int:
     except (coords.CoordinateError, render.RenderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (census.CacheConflictError, BrokenProcessPool) as exc:
+    except (census.CacheConflictError, BrokenProcessPool, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except KeyboardInterrupt:

@@ -645,3 +645,63 @@ class TestLoaderParity:
         assert f"c.jsonl:3: ignoring incomplete final record ({len(torn)} bytes)" in (
             capsys.readouterr().err
         )
+
+
+def test_default_threads_names_the_variable_for_a_non_integer(monkeypatch):
+    from braidcensus.census import default_threads
+
+    monkeypatch.setenv("CENSUS_THREADS", "abc")
+    with pytest.raises(ValueError) as caught:
+        default_threads()
+    assert str(caught.value) == "CENSUS_THREADS must be an integer >= 1, got 'abc'"
+
+
+class TestTransitionMemo:
+    """Zone transitions shared across s-vectors give each s-vector's own result."""
+
+    GRID = [(4, 10), (5, 8), (6, 7)]
+
+    @pytest.mark.parametrize("order", ["lexicographic", "shuffled"])
+    def test_shared_memo_matches_a_fresh_walk(self, order):
+        import random
+
+        from braidcensus.census import _Transitions, _walk
+
+        units = sorted(
+            (sv.n, sv.s, mirror)
+            for n, kmax in self.GRID
+            for k in range(kmax + 1)
+            for sv in enumerate_s_vectors(n, k)
+            for mirror in (False, True)
+        )
+        if order == "shuffled":
+            random.Random(2000).shuffle(units)
+        memo = _Transitions()
+        for n, s, mirror in units:
+            sv = SVector(n=n, s=s)
+            assert _walk(sv, mirror, memo) == _walk(sv, mirror), (sv, mirror)
+        assert memo.zones and memo.states
+
+    def test_memo_is_dropped_when_the_table_returns(self):
+        from braidcensus import census
+
+        sizes = []
+        count_table(5, 6, threads=1, progress=lambda d, t, s: sizes.append(len(census._MEMO.zones)))
+        assert max(sizes) > 0
+        assert not census._MEMO.zones and not census._MEMO.states
+
+    def test_memo_is_dropped_when_progress_raises(self):
+        from braidcensus import census
+
+        def progress(done, total, s):
+            if sum(s) == 4 and done == 2:
+                assert census._MEMO.zones
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            count_table(5, 6, threads=1, progress=progress)
+        assert not census._MEMO.zones and not census._MEMO.states
+
+    def test_lines_longer_than_a_byte_can_number(self):
+        # L_1 or L_2 has up to 261 nodes here, past what a bytes state holds
+        assert count_actual(3, 130, threads=1).g == g3_totient(130)

@@ -325,3 +325,36 @@ class TestAbort:
 
         monkeypatch.setattr(census, "_worker", _worker_ignores_interrupts)
         assert census.count_actual(4, 3, threads=2).g == count_s_vectors(4, 3)
+
+
+class TestFileErrors:
+    """A named file that cannot be opened is one error line, exit 1."""
+
+    def test_render_into_a_missing_directory(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "d.svg")
+        code, stdout, err = run_capture(
+            capsys, ["render", "--coords", "(0,0,2,3,1,0,0)", "--out", out]
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_cache_show_on_a_directory(self, capsys, tmp_path):
+        code, stdout, err = run_capture(capsys, ["cache", "show", "--path", str(tmp_path)])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_table_cache_in_a_missing_directory(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "c.jsonl")
+        code, stdout, err = run_capture(
+            capsys, ["table", "--n", "2", "--kmax", "1", "--threads", "1", "--cache", path]
+        )
+        assert (code, stdout) == (1, "")
+        assert err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_non_integer_thread_variable_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("CENSUS_THREADS", "abc")
+        code, _, err = run_capture(capsys, ["count", "--n", "3", "--k", "2"])
+        assert code == 2
+        assert err == "error: CENSUS_THREADS must be an integer >= 1, got 'abc'\n"

@@ -14,6 +14,11 @@ every key that differs is printed with both values.  Probes:
                           closed, and on copies with the far ends of two
                           same-zone arcs swapped: a digest and the counts
   svg                     a digest of render_svg bytes on fuzzed tuples
+  walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
+                          of WALK_ROWS, each walked by census._worker (weight
+                          1) in one process, so a checkout that shares zone
+                          transitions across s-vectors shares them across
+                          the whole grid
 
 Exit status: 0 when every probe agrees, 1 otherwise.
 """
@@ -35,6 +40,9 @@ SUITE_SIZE = {
 }
 GRAPHS = 20_000  # tuples for the nesting probe; each is built open and closed
 SVGS = 1_000  # tuples for the svg probe; each is drawn open and closed
+# (n, kmax, kmin) for the walk probe: TestWalker's grid (tests/test_census.py),
+# n = 7, 8 at small k, and single rows whose lines pass 255 nodes
+WALK_ROWS = [(4, 10, 0), (5, 8, 0), (6, 6, 0), (7, 7, 0), (8, 6, 0), (2, 300, 300), (3, 130, 130)]
 
 
 def _digest(items) -> str:
@@ -114,6 +122,25 @@ def _svg() -> dict:
     return {"svg": {"documents": len(docs), "digest": _digest(docs)}}
 
 
+def _walks() -> dict:
+    from braidcensus import census, coords
+
+    out = {}
+    for mode in (census.MODE_PLAIN, census.MODE_PRUNED):
+        walks = [
+            (n, sv.s, *census._worker((n, sv.s, mode, 1)))
+            for n, kmax, kmin in WALK_ROWS
+            for k in range(kmin, kmax + 1)
+            for sv in coords.enumerate_s_vectors(n, k)
+        ]
+        out[f"walk:{mode}"] = {
+            "walks": len(walks),
+            "g": sum(w[2] for w in walks),
+            "digest": _digest(walks),
+        }
+    return out
+
+
 def _verify_outputs() -> dict:
     out = {}
     for suite in sorted(SUITE_SIZE):
@@ -130,7 +157,7 @@ def _verify_outputs() -> dict:
 
 def probe() -> None:
     results = _verify_outputs()
-    for part in (_faults, _nesting, _svg):
+    for part in (_faults, _nesting, _svg, _walks):
         results.update(part())
     print(json.dumps(results))
 
