@@ -44,10 +44,10 @@ call starts and when it ends, pool workers inherit it when they fork and
 drop it when they exit, and count_for_s_vector or a bare _walk uses a
 fresh one.
 
-tuples_examined counts every tuple the pass covers, as a walk over single
-prefixes would: a dead transition from a state reached by c prefixes adds
-c times the tuples below it, and a transition through the last zone adds
-c.  In plain mode that is the whole virtual-tuple space.
+tuples_examined is the size of the tuple space the pass covers,
+count_a_tuples(sv), derived rather than tallied: every tuple is covered
+exactly once, either reaching L_n or dying with the first prefix of it
+whose arcs close a loop.
 
 Optional pruning halves the work twice, and is off by default:
   * s-vectors are enumerated up to reversal, doubling the count of
@@ -57,7 +57,9 @@ Optional pruning halves the work twice, and is off by default:
     images (also connectivity-preserving), one representative per pair is
     evaluated, and non-fixed pairs count twice.
 Pruned and plain mode must agree; that equality is enforced by tests, not
-assumed.  In pruned mode tuples_examined counts the representatives.
+assumed.  In pruned mode tuples_examined counts the representatives,
+(count_a_tuples(sv) + 1) // 2: a mirror pair has one, and the central
+tuple, present when every offset range is odd, is its own.
 
 Counts are exact (Python integers are unbounded).  The optional cache is a
 UTF-8 JSON-lines file, one object per record with keys n, k, g, mode,
@@ -86,7 +88,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable
 
-from .coords import SVector, a_range_size, count_s_vectors, enumerate_s_vectors
+from .coords import SVector, a_range_size, count_a_tuples, count_s_vectors, enumerate_s_vectors
 from .diagram import line_bases, zone_arc_pairs
 
 ENGINE_VERSION = "braidcensus-1"
@@ -208,60 +210,44 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions | None = None) -> tuple[
     offset of a zone is applied once per state, weighted by the number of
     prefixes that reach the state, and the transition is taken from memo
     (a fresh one when None) when an earlier s-vector already made it.  A
-    transition that closes a loop is dead, and its subtree's leaves still
-    count as examined.  With mirror, one offset tuple per mirror pair is
-    evaluated: a_i maps to (range_i - 1) - a_i, and the comparison with
-    the mirror is decided at the first position where 2 a_i != range_i - 1.
-    Smaller means this tuple represents a pair (weight 2), larger means its
-    mirror is counted instead (skip the subtree).  Fully central tuples are
-    their own mirror (weight 1).
+    transition that closes a loop is dead.  With mirror, one offset tuple
+    per mirror pair is evaluated: a_i maps to (range_i - 1) - a_i, and the
+    comparison with the mirror is decided at the first position where
+    2 a_i != range_i - 1.  Smaller means this tuple represents a pair
+    (weight 2), larger means its mirror is counted instead (skip the
+    subtree).  Fully central tuples are their own mirror (weight 1).
     """
     if memo is None:
         memo = _Transitions()
     s = sv.full()
-    shapes = list(zip(s, s[1:]))
-    sizes = [a_range_size(sl, sr) for sl, sr in shapes]
-    last = len(shapes) - 1
-    # leaves[zi]: offset tuples below one prefix that ends at zone zi;
-    # central[zi]: the mirror representatives among them when the prefix
-    # is still its own mirror (half, plus the all-central suffix if any)
-    leaves = [1] * len(shapes)
-    odd = [True] * len(shapes)
-    for zi in range(last, 0, -1):
-        leaves[zi - 1] = leaves[zi] * sizes[zi]
-        odd[zi - 1] = odd[zi] and sizes[zi] % 2 == 1
-    central = [(count + o) // 2 for count, o in zip(leaves, odd)]
-    pair_weight = 2 if mirror else 1
-    actual = 0
-    examined = 0
     # {(line state, undecided): prefixes}.  L_0's one node is node 0 itself;
     # its state treats it as a path to a separate node 0, a pendant end
     # that closes no loop
     states: dict[tuple[_State, bool], int] = {(b"\0", mirror): 1}
-    for zi, (sl, sr) in enumerate(shapes):
+    for sl, sr in zip(s, s[1:]):
         known = memo.zones.setdefault((sl, sr), {})
         pairs = None  # this zone's local arc table, built on the first miss
-        top = sizes[zi] - 1
+        top = a_range_size(sl, sr) - 1
         following: dict[tuple[_State, bool], int] = {}
-        for (line, undecided0), c in states.items():
+        for (line, undecided), c in states.items():
             nexts = known.get(line)
             if nexts is None:
                 if pairs is None:  # in step's local frame
                     pairs = _arc_table(2 * sr + 2, 1, sl, sr)
                 nexts = known[line] = memo.step(sr, line, pairs)
-            if undecided0:
+            if undecided:
                 nexts = nexts[: top // 2 + 1]  # a larger offset's mirror counts it
             for a, state in enumerate(nexts):
-                undecided = undecided0 and 2 * a == top
                 if state is not None:
-                    if zi < last:
-                        key = (state, undecided)
-                        following[key] = following.get(key, 0) + c
-                        continue
-                    actual += c if undecided else c * pair_weight
-                examined += c * (central[zi] if undecided else leaves[zi])
+                    key = (state, undecided and 2 * a == top)
+                    following[key] = following.get(key, 0) + c
         states = following
-    return actual, examined
+    # L_n is one node, so at most two states are left: a prefix still its
+    # own mirror counts once, a pair's representative twice
+    pair_weight = 2 if mirror else 1
+    actual = sum(c if undecided else c * pair_weight for (_, undecided), c in states.items())
+    tuples = count_a_tuples(sv)
+    return actual, (tuples + 1) // 2 if mirror else tuples
 
 
 def count_for_s_vector(sv: SVector) -> int:
@@ -290,16 +276,12 @@ def default_threads() -> int:
 
 
 def _work_units(n: int, k: int, mode: str) -> Iterable[tuple[int, tuple[int, ...], str, int]]:
-    if mode == MODE_PRUNED:
-        for sv in enumerate_s_vectors(n, k):
-            reverse = sv.s[::-1]
-            if sv.s > reverse:
-                continue  # its reversal is enumerated instead
-            weight = 1 if sv.s == reverse else 2
-            yield (n, sv.s, mode, weight)
-    else:
-        for sv in enumerate_s_vectors(n, k):
-            yield (n, sv.s, mode, 1)
+    prune = mode == MODE_PRUNED
+    for sv in enumerate_s_vectors(n, k):
+        reverse = sv.s[::-1]
+        if prune and sv.s > reverse:
+            continue  # its reversal is enumerated instead
+        yield (n, sv.s, mode, 2 if prune and sv.s != reverse else 1)
 
 
 ProgressFn = Callable[[int, int, tuple[int, ...]], None]

@@ -148,6 +148,8 @@ def cmd_ratios(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "show":
+        if len(args.path) > 1:
+            raise ValueError(f"cache show takes one --path, got {len(args.path)}")
         store = census.CensusCache(args.path[0])
         print(json.dumps([_record_dict(r) for r in store.records()]))
         return EXIT_OK
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--path",
         action="append",
         required=True,
-        help="cache file; for merge, repeat: first is the target",
+        help="cache file; for show, exactly one; for merge, repeat: first is the target",
     )
     p.set_defaults(func=cmd_cache)
 

@@ -69,6 +69,11 @@ def totient_sieve(capacity: int) -> TotientTable:
     return TotientTable(capacity=capacity, values=tuple(phi))
 
 
+def _totients(table: TotientTable | None, capacity: int) -> TotientTable:
+    """table when it reaches capacity, else a fresh sieve up to capacity."""
+    return table if table is not None and table.capacity >= capacity else totient_sieve(capacity)
+
+
 def g2(k: int) -> int:
     """Braids on 2 strands with norm 2k + 1."""
     if k < 0:
@@ -82,7 +87,7 @@ def g3_totient(k: int, table: TotientTable | None = None) -> int:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return 1
-    phi = table if table is not None and table.capacity >= k + 2 else totient_sieve(k + 2)
+    phi = _totients(table, k + 2)
     acc = phi[k + 2] - (1 if k % 2 == 0 else 0)
     acc += 2 * sum(phi[k + 3 - 2 * i] for i in range(1, k // 2 + 1))
     return 2 * acc
@@ -98,7 +103,7 @@ def g3_via_c(k: int) -> int:
 def gamma_term(i: int, table: TotientTable | None = None) -> int:
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
-    phi = table if table is not None and table.capacity >= i + 2 else totient_sieve(i + 2)
+    phi = _totients(table, i + 2)
     acc = 1 if i == 0 else 0
     acc -= 3 if i == 2 else 0
     if i >= 1:
@@ -114,7 +119,7 @@ def g3_via_gamma(k: int, table: TotientTable | None = None) -> int:
     """The same count via the gamma expansion."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    phi = table if table is not None and table.capacity >= k + 2 else totient_sieve(k + 2)
+    phi = _totients(table, k + 2)
     return sum(gamma_term(k - 2 * i, phi) for i in range(k // 2 + 1))
 
 
@@ -236,7 +241,7 @@ def phi_hat(kmax: int, table: TotientTable | None = None) -> list[int]:
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    phi = table if table is not None and table.capacity >= kmax else totient_sieve(max(kmax, 1))
+    phi = _totients(table, max(kmax, 1))
     out = [0] * (kmax + 1)
     for k in range(1, kmax + 1):
         out[k] = phi[k] + (out[k - 2] if k >= 2 else 0)

@@ -21,6 +21,7 @@ so everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -196,22 +197,16 @@ def enumerate_s_vectors(n: int, k: int) -> Iterator[SVector]:
     """
     if n < 1 or k < 0:
         raise CoordinateError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    parts = n - 1
-
-    def rec(remaining: int, left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            if remaining == 0:
-                yield ()
-            return
-        if left == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, left - 1):
-                yield (first,) + rest
-
-    for interior in rec(k, parts):
-        yield SVector(n=n, s=interior)
+    if n == 1:
+        if k == 0:
+            yield SVector(n=1, s=())
+        return
+    # stars and bars: n - 2 bars among k + n - 2 slots, each part the gap
+    # between two cuts; bars in lexicographic order give parts in it too
+    end = k + n - 2
+    for bars in itertools.combinations(range(end), n - 2):
+        cuts = (-1, *bars, end)
+        yield SVector(n=n, s=tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
 
 
 def count_a_tuples(sv: SVector) -> int:

@@ -62,6 +62,9 @@ class TestCountActual:
         for n in range(1, 7):
             assert count_actual(n, 0, threads=1).g == 1
 
+    def test_k_zero_on_many_strands(self):
+        assert count_actual(1000, 0, threads=1).g == 1
+
     def test_single_strand(self):
         assert count_actual(1, 0, threads=1).g == 1
         assert count_actual(1, 3, threads=1).g == 0

@@ -203,6 +203,12 @@ class TestCache:
         assert code == 0
         assert json.loads(out)["records"] == 2
 
+    def test_show_takes_one_path(self, capsys, tmp_path):
+        a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+        code, out, err = run_capture(capsys, ["cache", "show", "--path", a, "--path", b])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_conflict_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

@@ -156,6 +156,20 @@ class TestEnumeration:
         assert [sv.s for sv in enumerate_s_vectors(1, 0)] == [()]
         assert list(enumerate_s_vectors(1, 3)) == []
 
+    def test_s_vectors_on_many_strands(self):
+        got = [sv.s for sv in enumerate_s_vectors(1200, 1)]
+        assert len(got) == 1199
+        assert got[0] == (0,) * 1198 + (1,)
+        assert got[-1] == (1,) + (0,) * 1198
+
+    def test_mirror_representatives_are_half_the_space(self):
+        # one tuple per sym_v pair, and the central tuple as its own
+        for n in range(1, 6):
+            for k in range(6):
+                for sv in enumerate_s_vectors(n, k):
+                    kept = sum(1 for c in enumerate_a_tuples(sv) if c.a <= sym_v(c).a)
+                    assert kept == (count_a_tuples(sv) + 1) // 2, sv
+
     def test_a_tuples_over_unit_s(self):
         sv = SVector(n=2, s=(1,))
         tuples = list(enumerate_a_tuples(sv))

@@ -41,8 +41,12 @@ SUITE_SIZE = {
 GRAPHS = 20_000  # tuples for the nesting probe; each is built open and closed
 SVGS = 1_000  # tuples for the svg probe; each is drawn open and closed
 # (n, kmax, kmin) for the walk probe: TestWalker's grid (tests/test_census.py),
-# n = 7, 8 at small k, and single rows whose lines pass 255 nodes
-WALK_ROWS = [(4, 10, 0), (5, 8, 0), (6, 6, 0), (7, 7, 0), (8, 6, 0), (2, 300, 300), (3, 130, 130)]
+# n = 7, 8 at small k, single rows whose lines pass 255 nodes, and the rows
+# censusbench's table-n4 and table-n6 workloads compute
+WALK_ROWS = [
+    (4, 10, 0), (5, 8, 0), (6, 6, 0), (7, 7, 0), (8, 6, 0), (2, 300, 300), (3, 130, 130),
+    (4, 28, 0), (6, 11, 0),
+]
 
 
 def _digest(items) -> str:
