@@ -35,14 +35,15 @@ the zone's place in the s-vector nor on the rest of the s-vector: its arcs
 at each offset are the arc rules applied to those two lines, and they
 touch no other node.  So the transitions are memoised as
 {(s_{i-1}, s_i): {state: per offset, the state on L_i, or None where a
-loop closes}}, with the arcs built in a local frame only on a miss, and
-sharing them between s-vectors gives each s-vector exactly the counts it
-gets alone.  States are bytes while the line has fewer than 256 nodes and
-tuples beyond; next states are interned.  The memo shared by work units
-lives for one count_table or count_actual call: it is cleared when the
-call starts and when it ends, pool workers inherit it when they fork and
-drop it when they exit, and count_for_s_vector or a bare _walk uses a
-fresh one.
+loop closes}}: each zone shape's arcs are built once per call and
+process, in a local frame, and a state's transitions are made the first
+time the walk looks it up.  Sharing them between s-vectors gives each
+s-vector exactly the counts it gets alone.  States are bytes while the
+line has fewer than 256 nodes and tuples beyond; next states are
+interned.  The memo shared by work units lives for one count_table or
+count_actual call: it is cleared when the call starts and when it ends,
+pool workers inherit it when they fork and drop it when they exit, and
+count_for_s_vector uses a fresh one.
 
 tuples_examined is the size of the tuple space the pass covers,
 count_a_tuples(sv), derived rather than tallied: every tuple is covered
@@ -89,7 +90,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable
 
 from .coords import SVector, a_range_size, count_a_tuples, count_s_vectors, enumerate_s_vectors
-from .diagram import line_bases, zone_arc_pairs
+from .diagram import zone_arc_pairs
 
 ENGINE_VERSION = "braidcensus-1"
 
@@ -139,49 +140,34 @@ def _arc_table(bl: int, br: int, sl: int, sr: int) -> list[list[tuple[int, int]]
     return [zone_arc_pairs(bl, br, sl, sr, a) for a in range(a_range_size(sl, sr))]
 
 
-def _zone_tables(sv: SVector) -> tuple[list[list[list[tuple[int, int]]]], int]:
-    """Arc pairs per zone and offset, from diagram's arc rules, and the node count."""
-    s = sv.full()
-    bases = line_bases(s)
-    tables = [
-        _arc_table(bl, br, sl, sr)
-        for bl, br, sl, sr in zip(bases, bases[1:], s, s[1:])
-    ]
-    return tables, bases[-1]
+class _Zone(dict):
+    """The transitions of one zone shape (s_{i-1}, s_i): {state on L_{i-1}:
+    the state on L_i per offset, None where an arc closes a loop}.
 
-
-class _Transitions:
-    """Zone transitions on relative line states, valid for every s-vector.
-
-    zones maps (s_{i-1}, s_i) to {state on L_{i-1}: the state on L_i per
-    offset, None where an arc closes a loop}; states interns those states.
+    The shape's arcs are built once, in a local frame: node 0, then L_i's
+    nodes at 1 .. 2sr+1, then L_{i-1}'s.  A node on L_i then has its
+    position plus one as its index, so the mates of L_i's nodes are the
+    next state as they stand.  Looking up a state not seen yet steps it
+    through every offset's arcs and stores the result.
     """
 
-    def __init__(self) -> None:
-        self.zones: dict[tuple[int, int], dict[_State, tuple[_State | None, ...]]] = {}
-        self.states: dict[_State, _State] = {}
+    def __init__(self, sl: int, sr: int, states: dict[_State, _State]) -> None:
+        super().__init__()
+        self.left = 2 * sr + 2
+        self.intern = intern = states.setdefault
+        # arc pairs are interned with the states, since the shapes share
+        # them: count_table(4, 28) holds 103,055 arcs but 1,639 distinct
+        # pairs, and a tuple per arc raised its peak memory by 7 MB
+        self.pairs = [tuple(map(intern, arcs, arcs)) for arcs in _arc_table(self.left, 1, sl, sr)]
 
-    def clear(self) -> None:
-        self.zones.clear()
-        self.states.clear()
-
-    def step(
-        self, sr: int, line: _State, pairs: list[list[tuple[int, int]]]
-    ) -> tuple[_State | None, ...]:
-        """The state on L_i after each offset's arcs (pairs) from line on L_{i-1}.
-
-        pairs use the local frame: node 0, then L_i's nodes at 1 .. 2sr+1,
-        then L_{i-1}'s.  A node on L_i then has its position plus one as its
-        index, so the mates of L_i's nodes are the next state as they stand.
-        """
-        left = 2 * sr + 2
+    def __missing__(self, line: _State) -> tuple[_State | None, ...]:
+        left = self.left
         pack = bytes if left <= 256 else tuple
-        intern = self.states.setdefault
         start = list(range(left))
         start += [m and m + left - 1 for m in line]
         start[0] = line.index(0) + left
         out: list[_State | None] = []
-        for arcs in pairs:
+        for arcs in self.pairs:
             mate = start.copy()
             for u, v in arcs:
                 mu = mate[u]
@@ -193,8 +179,32 @@ class _Transitions:
                 mate[mv] = mu
             else:
                 state = pack(mate[1:left])
-                out.append(intern(state, state))
-        return tuple(out)
+                out.append(self.intern(state, state))
+        nexts = self[line] = tuple(out)
+        return nexts
+
+
+class _Transitions:
+    """Zone transitions on relative line states, valid for every s-vector.
+
+    zones maps (s_{i-1}, s_i) to that shape's _Zone; states interns the
+    states they hold and their arc pairs.
+    """
+
+    def __init__(self) -> None:
+        self.zones: dict[tuple[int, int], _Zone] = {}
+        self.states: dict[_State, _State] = {}
+
+    def clear(self) -> None:
+        self.zones.clear()
+        self.states.clear()
+
+    def zone(self, sl: int, sr: int) -> _Zone:
+        """The transitions of zone shape (sl, sr), made on its first use."""
+        zone = self.zones.get((sl, sr))
+        if zone is None:
+            zone = self.zones[sl, sr] = _Zone(sl, sr, self.states)
+        return zone
 
 
 # transitions shared by the s-vectors of one census call (see _count_rows);
@@ -203,13 +213,12 @@ class _Transitions:
 _MEMO = _Transitions()
 
 
-def _walk(sv: SVector, mirror: bool, memo: _Transitions | None = None) -> tuple[int, int]:
+def _walk(sv: SVector, mirror: bool, memo: _Transitions) -> tuple[int, int]:
     """(connected count, tuples examined) for one s-vector.
 
     A forward pass over line states (see the module docstring): each
     offset of a zone is applied once per state, weighted by the number of
-    prefixes that reach the state, and the transition is taken from memo
-    (a fresh one when None) when an earlier s-vector already made it.  A
+    prefixes that reach the state, and the transitions come from memo.  A
     transition that closes a loop is dead.  With mirror, one offset tuple
     per mirror pair is evaluated: a_i maps to (range_i - 1) - a_i, and the
     comparison with the mirror is decided at the first position where
@@ -217,24 +226,17 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions | None = None) -> tuple[
     (weight 2), larger means its mirror is counted instead (skip the
     subtree).  Fully central tuples are their own mirror (weight 1).
     """
-    if memo is None:
-        memo = _Transitions()
     s = sv.full()
     # {(line state, undecided): prefixes}.  L_0's one node is node 0 itself;
     # its state treats it as a path to a separate node 0, a pendant end
     # that closes no loop
     states: dict[tuple[_State, bool], int] = {(b"\0", mirror): 1}
     for sl, sr in zip(s, s[1:]):
-        known = memo.zones.setdefault((sl, sr), {})
-        pairs = None  # this zone's local arc table, built on the first miss
+        zone = memo.zone(sl, sr)
         top = a_range_size(sl, sr) - 1
         following: dict[tuple[_State, bool], int] = {}
         for (line, undecided), c in states.items():
-            nexts = known.get(line)
-            if nexts is None:
-                if pairs is None:  # in step's local frame
-                    pairs = _arc_table(2 * sr + 2, 1, sl, sr)
-                nexts = known[line] = memo.step(sr, line, pairs)
+            nexts = zone[line]
             if undecided:
                 nexts = nexts[: top // 2 + 1]  # a larger offset's mirror counts it
             for a, state in enumerate(nexts):
@@ -252,7 +254,7 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions | None = None) -> tuple[
 
 def count_for_s_vector(sv: SVector) -> int:
     """Connected offset tuples over one s-vector (the parallel work unit)."""
-    return _walk(sv, mirror=False)[0]
+    return _walk(sv, False, _Transitions())[0]
 
 
 def _worker(args: tuple[int, tuple[int, ...], str, int]) -> tuple[int, int]:
@@ -285,38 +287,6 @@ def _work_units(n: int, k: int, mode: str) -> Iterable[tuple[int, tuple[int, ...
 
 
 ProgressFn = Callable[[int, int, tuple[int, ...]], None]
-
-
-def _count_row(
-    n: int,
-    k: int,
-    mode: str,
-    units: list[tuple[int, tuple[int, ...], str, int]],
-    pool: ProcessPoolExecutor | None,
-    workers: int,
-    progress: ProgressFn | None,
-) -> CensusRecord:
-    started = time.perf_counter()
-    if pool is None or len(units) <= 1:
-        results = map(_worker, units)
-    else:
-        chunk = max(1, len(units) // (8 * workers))
-        results = pool.map(_worker, units, chunksize=chunk)
-    total = 0
-    examined = 0
-    for done, (unit, (part, part_examined)) in enumerate(zip(units, results), 1):
-        total += part
-        examined += part_examined
-        if progress is not None:
-            progress(done, len(units), unit[1])
-    return CensusRecord(
-        n=n,
-        k=k,
-        g=total,
-        mode=mode,
-        elapsed_ms=int((time.perf_counter() - started) * 1000),
-        tuples_examined=examined,
-    )
 
 
 def _count_rows(
@@ -352,7 +322,26 @@ def _count_rows(
                         initializer=signal.signal,
                         initargs=(signal.SIGINT, signal.SIG_IGN),
                     )
-                record = _count_row(n, k, mode, units, pool, workers, progress)
+                started = time.perf_counter()
+                if pool is None or len(units) <= 1:
+                    results = map(_worker, units)
+                else:
+                    chunk = max(1, len(units) // (8 * workers))
+                    results = pool.map(_worker, units, chunksize=chunk)
+                total = examined = 0
+                for done, (unit, (part, part_examined)) in enumerate(zip(units, results), 1):
+                    total += part
+                    examined += part_examined
+                    if progress is not None:
+                        progress(done, len(units), unit[1])
+                record = CensusRecord(
+                    n=n,
+                    k=k,
+                    g=total,
+                    mode=mode,
+                    elapsed_ms=int((time.perf_counter() - started) * 1000),
+                    tuples_examined=examined,
+                )
                 if cache is not None:
                     cache.add(record)
             records.append(record)
@@ -549,7 +538,9 @@ def merge_caches(target_path: str, source_paths: list[str]) -> int:
     """Union several cache files into target; conflicts are hard errors.
 
     Returns the number of records in the merged store.  The target, then
-    each source, is read (so a conflict names the source line).  Under the
+    each source, is read (so a conflict names the source line); a missing
+    target reads as empty, and a missing source raises FileNotFoundError
+    before the target is touched.  Under the
     lock add takes, the target is read again for records appended since,
     and the merged records, sorted, go to a synced temporary file that is
     renamed onto the target.  An add that waits for the lock appends to the
@@ -557,11 +548,12 @@ def merge_caches(target_path: str, source_paths: list[str]) -> int:
     lock at a time is held, so merges into each other cannot deadlock.
     """
     rows: _Rows = {}
-    for path in [target_path, *source_paths]:
-        if os.path.exists(path):
-            torn = _read_rows(path, rows)[1]
-            if torn is not None and path != target_path:
-                _warn_torn(path, torn, "merge leaves the source as it is")
+    if os.path.exists(target_path):
+        _read_rows(target_path, rows)
+    for path in source_paths:
+        torn = _read_rows(path, rows)[1]  # a missing source raises FileNotFoundError
+        if torn is not None:
+            _warn_torn(path, torn, "merge leaves the source as it is")
     directory, name = os.path.split(os.path.abspath(target_path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     existed = os.path.exists(target_path)

@@ -4,7 +4,8 @@ Machine-readable results go to stdout (JSON by default, CSV on request);
 progress and errors go to stderr.  Exit codes: 0 success, 1 verification
 failure, data conflict, a worker process that died (its pool is broken) or
 a named file that cannot be read or written (an OSError, such as a missing
-directory), 2 usage error (bad flags, bad coordinate syntax, bad ranges),
+directory, or a missing cache show file or cache merge source),
+2 usage error (bad flags, bad coordinate syntax, bad ranges),
 130 interrupted (Ctrl-C).  A failure prints one "error: ..." line and an
 interrupt one "interrupted" line on stderr, without a traceback.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -150,6 +152,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if args.action == "show":
         if len(args.path) > 1:
             raise ValueError(f"cache show takes one --path, got {len(args.path)}")
+        os.stat(args.path[0])  # raises when missing; CensusCache would read it as empty
         store = census.CensusCache(args.path[0])
         print(json.dumps([_record_dict(r) for r in store.records()]))
         return EXIT_OK

@@ -212,26 +212,15 @@ def enumerate_s_vectors(n: int, k: int) -> Iterator[SVector]:
 def count_a_tuples(sv: SVector) -> int:
     """Number of admissible offset tuples over a fixed s-vector."""
     s = sv.full()
-    total = 1
-    for i in range(1, sv.n + 1):
-        total *= a_range_size(s[i - 1], s[i])
-    return total
+    return math.prod(a_range_size(sl, sr) for sl, sr in zip(s, s[1:]))
 
 
 def enumerate_a_tuples(sv: SVector) -> Iterator[VirtualCoordinates]:
     """Yield every admissible tuple over a fixed s-vector, a lexicographic."""
     s = sv.full()
-    sizes = [a_range_size(s[i - 1], s[i]) for i in range(1, sv.n + 1)]
-    a = [0] * sv.n
-    while True:
-        yield VirtualCoordinates(n=sv.n, s=s, a=tuple(a))
-        pos = sv.n - 1
-        while pos >= 0 and a[pos] == sizes[pos] - 1:
-            a[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        a[pos] += 1
+    ranges = [range(a_range_size(sl, sr)) for sl, sr in zip(s, s[1:])]
+    for a in itertools.product(*ranges):
+        yield VirtualCoordinates(n=sv.n, s=s, a=a)
 
 
 def random_coordinates(rng: random.Random, n: int, k: int) -> VirtualCoordinates:

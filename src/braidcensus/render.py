@@ -67,8 +67,8 @@ def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
         )
 
     stub = ZONE_WIDTH / 3.0
-    puncture_xy: list[tuple[float, float]] = [(0.0, 0.0)] * n
-    for idx, arc in enumerate(g.arcs):
+    mids: list[tuple[float, float]] = []  # per arc, where a puncture on it is drawn
+    for arc in g.arcs:
         (xu, yu), (xv, yv) = pos(arc.u), pos(arc.v)
         if arc.kind in (STRAIGHT, CROSS, CLOSURE):
             if xu > xv:
@@ -96,10 +96,10 @@ def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
             )
             apex = xu + r if arc.kind == LEFT_BOX else xu - r
             mid = (apex, (yu + yv) / 2)
-        if idx in g.puncture_arcs:
-            puncture_xy[g.puncture_arcs.index(idx)] = mid
+        mids.append(mid)
 
-    for x, y in puncture_xy:
+    for idx in g.puncture_arcs:
+        x, y = mids[idx]
         out.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="white" '
             'stroke="black" stroke-width="1.5"/>\n'

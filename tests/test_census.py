@@ -213,14 +213,44 @@ class TestWalker:
         # arc joins two nodes that are already joined
         from itertools import product
 
-        from braidcensus.census import _zone_tables
+        from braidcensus.census import _arc_table
+        from braidcensus.diagram import line_bases
 
         for n in range(1, 6):
             for k in range(5):
                 for sv in enumerate_s_vectors(n, k):
-                    tables, node_count = _zone_tables(sv)
+                    s = sv.full()
+                    bases = line_bases(s)
+                    tables = [
+                        _arc_table(bl, br, sl, sr)
+                        for bl, br, sl, sr in zip(bases, bases[1:], s, s[1:])
+                    ]
+                    node_count = bases[-1]
                     for choice in product(*tables):
                         assert sum(map(len, choice)) == node_count - 1, sv
+
+    def test_each_zone_shape_builds_its_arcs_once(self, monkeypatch):
+        # a zone's arcs depend only on its shape (s_{i-1}, s_i), so one
+        # census call builds them once per shape, whichever s-vectors and
+        # line states meet it
+        from braidcensus import census
+
+        built = []
+        real = census._arc_table
+
+        def counting_arc_table(bl, br, sl, sr):
+            built.append((sl, sr))
+            return real(bl, br, sl, sr)
+
+        monkeypatch.setattr(census, "_arc_table", counting_arc_table)
+        count_table(4, 10, threads=1)
+        shapes = {
+            shape
+            for k in range(11)
+            for sv in enumerate_s_vectors(4, k)
+            for shape in zip(sv.full(), sv.full()[1:])
+        }
+        assert sorted(built) == sorted(shapes)
 
     def test_plain_examines_whole_space_and_agrees_with_pruned(self):
         from braidcensus.coords import count_a_tuples
@@ -350,19 +380,19 @@ class TestFrontierWalk:
     SMALL = [sv for n in range(1, 6) for k in range(6) for sv in enumerate_s_vectors(n, k)]
 
     def test_plain_counts_and_examines_every_tuple(self):
-        from braidcensus.census import _walk
+        from braidcensus.census import _Transitions, _walk
         from braidcensus.coords import count_a_tuples
 
         assert len(self.SMALL) == 210
         for sv in self.SMALL:
-            assert _walk(sv, False) == (brute_count(sv), count_a_tuples(sv)), sv
+            assert _walk(sv, False, _Transitions()) == (brute_count(sv), count_a_tuples(sv)), sv
 
     def test_mirror_examines_one_tuple_per_mirror_pair(self):
-        from braidcensus.census import _walk
+        from braidcensus.census import _Transitions, _walk
         from braidcensus.coords import count_a_tuples
 
         for sv in self.SMALL:
-            g, examined = _walk(sv, True)
+            g, examined = _walk(sv, True, _Transitions())
             assert g == count_for_s_vector(sv), sv
             # the offset mirror is an involution with at most one fixed tuple
             assert examined == (count_a_tuples(sv) + 1) // 2, sv
@@ -682,7 +712,7 @@ class TestTransitionMemo:
         memo = _Transitions()
         for n, s, mirror in units:
             sv = SVector(n=n, s=s)
-            assert _walk(sv, mirror, memo) == _walk(sv, mirror), (sv, mirror)
+            assert _walk(sv, mirror, memo) == _walk(sv, mirror, _Transitions()), (sv, mirror)
         assert memo.zones and memo.states
 
     def test_memo_is_dropped_when_the_table_returns(self):

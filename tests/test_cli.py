@@ -345,6 +345,32 @@ class TestFileErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_cache_show_on_a_missing_file(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.jsonl")
+        code, stdout, err = run_capture(capsys, ["cache", "show", "--path", path])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.jsonl" in err
+        assert not (tmp_path / "missing.jsonl").exists()
+
+    @pytest.mark.parametrize("target_exists", [True, False])
+    def test_cache_merge_from_a_missing_source(self, capsys, tmp_path, target_exists):
+        target = tmp_path / "t.jsonl"
+        line = '{"n": 2, "k": 1, "g": 2, "mode": "plain", "elapsed_ms": 0}\n'
+        if target_exists:
+            target.write_text(line, encoding="utf-8")
+        typo = str(tmp_path / "typo.jsonl")
+        code, stdout, err = run_capture(
+            capsys, ["cache", "merge", "--path", str(target), "--path", typo]
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "typo.jsonl" in err
+        if target_exists:
+            assert target.read_text(encoding="utf-8") == line
+        else:
+            assert not target.exists()
+
     def test_cache_show_on_a_directory(self, capsys, tmp_path):
         code, stdout, err = run_capture(capsys, ["cache", "show", "--path", str(tmp_path)])
         assert (code, stdout) == (1, "")

@@ -19,6 +19,8 @@ every key that differs is printed with both values.  Probes:
                           1) in one process, so a checkout that shares zone
                           transitions across s-vectors shares them across
                           the whole grid
+  walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
+                          each counted alone by census.count_for_s_vector
 
 Exit status: 0 when every probe agrees, 1 otherwise.
 """
@@ -47,6 +49,8 @@ WALK_ROWS = [
     (4, 10, 0), (5, 8, 0), (6, 6, 0), (7, 7, 0), (8, 6, 0), (2, 300, 300), (3, 130, 130),
     (4, 28, 0), (6, 11, 0),
 ]
+# (n, kmax) for the single walk probe: TestWalker's grid (tests/test_census.py)
+SINGLE_ROWS = [(4, 10), (5, 8), (6, 6)]
 
 
 def _digest(items) -> str:
@@ -142,6 +146,17 @@ def _walks() -> dict:
             "g": sum(w[2] for w in walks),
             "digest": _digest(walks),
         }
+    singles = [
+        (n, sv.s, census.count_for_s_vector(sv))
+        for n, kmax in SINGLE_ROWS
+        for k in range(kmax + 1)
+        for sv in coords.enumerate_s_vectors(n, k)
+    ]
+    out["walk:single"] = {
+        "walks": len(singles),
+        "g": sum(w[2] for w in singles),
+        "digest": _digest(singles),
+    }
     return out
 
 
