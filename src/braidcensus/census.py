@@ -18,13 +18,12 @@ fewer than nodes: a tuple is connected iff no arc closes a loop.  After
 zones 1..i, every node left of line L_i except node 0 has degree 2, so the
 path ends are node 0 and the nodes on L_i.  The line state records, for
 each node on L_i, where the other end of its path (its mate) is: the
-mate's position on L_i plus one, or 0 when the mate is node 0.  The walk
-keys its states by line state plus, in pruned mode, whether the prefix is
-still its own mirror.  Prefixes that share a state have the same futures,
-so the walk is a forward pass that keeps {state: number of prefixes} and
-applies each offset of the next zone once per state (the transfer matrix
-of I. Jensen, "A transfer matrix approach to the enumeration of plane
-meanders", J. Phys. A 33 (2000) 5953).  An arc (u, v) closes a loop iff
+mate's position on L_i plus one, or 0 when the mate is node 0.
+Prefixes that share a line state have the same futures, so the walk is a
+forward pass that keeps {line state: number of prefixes} and applies each
+offset of the next zone once per state (the transfer matrix of I. Jensen,
+"A transfer matrix approach to the enumeration of plane meanders",
+J. Phys. A 33 (2000) 5953).  An arc (u, v) closes a loop iff
 mate[u] == v; otherwise it joins two paths, and the outer ends become
 mates: mate[mate[u]], mate[mate[v]] = mate[v], mate[u].  A closed loop
 never opens again, so such a transition is dead.
@@ -56,7 +55,8 @@ Optional pruning halves the work twice, and is off by default:
     bijection between the two orientations);
   * within an s-vector, offset tuples are paired with their range-mirrored
     images (also connectivity-preserving), one representative per pair is
-    evaluated, and non-fixed pairs count twice.
+    evaluated, and non-fixed pairs count twice; the one prefix with every
+    offset central, still its own mirror, is carried outside the states.
 Pruned and plain mode must agree; that equality is enforced by tests, not
 assumed.  In pruned mode tuples_examined counts the representatives,
 (count_a_tuples(sv) + 1) // 2: a mirror pair has one, and the central
@@ -184,26 +184,23 @@ class _Zone(dict):
         return nexts
 
 
-class _Transitions:
-    """Zone transitions on relative line states, valid for every s-vector.
+class _Transitions(dict):
+    """Zone transitions on relative line states, valid for every s-vector:
+    {(s_{i-1}, s_i): that shape's _Zone}, each made on its first lookup.
 
-    zones maps (s_{i-1}, s_i) to that shape's _Zone; states interns the
-    states they hold and their arc pairs.
+    states interns the states the zones hold and their arc pairs.
     """
 
     def __init__(self) -> None:
-        self.zones: dict[tuple[int, int], _Zone] = {}
+        super().__init__()
         self.states: dict[_State, _State] = {}
 
     def clear(self) -> None:
-        self.zones.clear()
+        super().clear()
         self.states.clear()
 
-    def zone(self, sl: int, sr: int) -> _Zone:
-        """The transitions of zone shape (sl, sr), made on its first use."""
-        zone = self.zones.get((sl, sr))
-        if zone is None:
-            zone = self.zones[sl, sr] = _Zone(sl, sr, self.states)
+    def __missing__(self, shape: tuple[int, int]) -> _Zone:
+        zone = self[shape] = _Zone(*shape, self.states)
         return zone
 
 
@@ -224,32 +221,34 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions) -> tuple[int, int]:
     comparison with the mirror is decided at the first position where
     2 a_i != range_i - 1.  Smaller means this tuple represents a pair
     (weight 2), larger means its mirror is counted instead (skip the
-    subtree).  Fully central tuples are their own mirror (weight 1).
+    subtree).  Only the prefix with every offset central is undecided:
+    it is kept apart as central (None once it splits or dies), and a fully
+    central tuple is its own mirror (weight 1).
     """
     s = sv.full()
-    # {(line state, undecided): prefixes}.  L_0's one node is node 0 itself;
-    # its state treats it as a path to a separate node 0, a pendant end
-    # that closes no loop
-    states: dict[tuple[_State, bool], int] = {(b"\0", mirror): 1}
-    for sl, sr in zip(s, s[1:]):
-        zone = memo.zone(sl, sr)
-        top = a_range_size(sl, sr) - 1
-        following: dict[tuple[_State, bool], int] = {}
-        for (line, undecided), c in states.items():
-            nexts = zone[line]
-            if undecided:
-                nexts = nexts[: top // 2 + 1]  # a larger offset's mirror counts it
-            for a, state in enumerate(nexts):
+    # L_0's one node is node 0 itself; its state treats it as a path to a
+    # separate node 0, a pendant end that closes no loop
+    central: _State | None = b"\0" if mirror else None
+    states: dict[_State, int] = {} if mirror else {b"\0": 1}  # {line state: prefixes}
+    for shape in zip(s, s[1:]):
+        zone = memo[shape]
+        following: dict[_State, int] = {}
+        for line, c in states.items():
+            for state in zone[line]:
                 if state is not None:
-                    key = (state, undecided and 2 * a == top)
-                    following[key] = following.get(key, 0) + c
+                    following[state] = following.get(state, 0) + c
+        if central is not None:
+            nexts = zone[central]
+            half = len(nexts) // 2
+            for state in nexts[:half]:  # a larger offset's mirror counts it
+                if state is not None:
+                    following[state] = following.get(state, 0) + 1
+            central = nexts[half] if len(nexts) % 2 else None
         states = following
-    # L_n is one node, so at most two states are left: a prefix still its
-    # own mirror counts once, a pair's representative twice
-    pair_weight = 2 if mirror else 1
-    actual = sum(c if undecided else c * pair_weight for (_, undecided), c in states.items())
     tuples = count_a_tuples(sv)
-    return actual, (tuples + 1) // 2 if mirror else tuples
+    if mirror:  # a pair's representative counts twice, the central tuple once
+        return 2 * sum(states.values()) + (central is not None), (tuples + 1) // 2
+    return sum(states.values()), tuples
 
 
 def count_for_s_vector(sv: SVector) -> int:

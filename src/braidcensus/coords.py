@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -116,10 +117,13 @@ def parse_coords(text: str, n: int | None = None) -> VirtualCoordinates:
     body = stripped[1:-1]
     if not body:
         raise CoordinateError("empty coordinate tuple")
-    try:
-        values = [int(part) for part in body.split(",")]
-    except ValueError as exc:
-        raise CoordinateError(f"non-integer entry in {text!r}") from exc
+    parts = body.split(",")
+    for part in parts:
+        # int() alone also takes "+1", "1_0" and non-ASCII digits; the sign
+        # is kept so that validate names the position of a negative entry
+        if not re.fullmatch(r"-?[0-9]+", part):
+            raise CoordinateError(f"non-integer entry {part!r} in {text!r}")
+    values = [int(part) for part in parts]
     if n is None:
         if len(values) % 2 == 0 or len(values) < 3:
             raise CoordinateError(

@@ -144,6 +144,8 @@ def zone_arc_pairs(bl: int, br: int, sl: int, sr: int, a: int) -> list[tuple[int
     s_{i-1}, s_i.  First come the a straight arcs, then the |sl - sr| box
     arcs on the side with more points, outermost first, then the cross
     arcs.  The census walks these pairs; build_arc_graph labels them.
+    Each pair is in drawing order, which render_svg relies on: u on L_{i-1}
+    and v on L_i, or for a box arc, u below v.
     """
     bl -= 1  # pre-shifted for 1-based j
     br -= 1

@@ -68,11 +68,11 @@ def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
 
     stub = ZONE_WIDTH / 3.0
     mids: list[tuple[float, float]] = []  # per arc, where a puncture on it is drawn
+    # build_arc_graph orients every arc for drawing: u on the zone's left
+    # line, or for a box arc, u below v
     for arc in g.arcs:
         (xu, yu), (xv, yv) = pos(arc.u), pos(arc.v)
         if arc.kind in (STRAIGHT, CROSS, CLOSURE):
-            if xu > xv:
-                (xu, yu), (xv, yv) = (xv, yv), (xu, yu)
             points = (
                 f"{_fmt(xu)},{_fmt(yu)} {_fmt(xu + stub)},{_fmt(yu)} "
                 f"{_fmt(xv - stub)},{_fmt(yv)} {_fmt(xv)},{_fmt(yv)}"
@@ -85,8 +85,6 @@ def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
         else:
             # semicircle bulging into the zone: rightwards for a left box,
             # leftwards for a right box
-            if yu < yv:
-                (xu, yu), (xv, yv) = (xv, yv), (xu, yu)
             r = (yu - yv) / 2
             sweep = 1 if arc.kind == LEFT_BOX else 0
             out.append(

@@ -713,28 +713,29 @@ class TestTransitionMemo:
         for n, s, mirror in units:
             sv = SVector(n=n, s=s)
             assert _walk(sv, mirror, memo) == _walk(sv, mirror, _Transitions()), (sv, mirror)
-        assert memo.zones and memo.states
+        assert memo and memo.states
 
     def test_memo_is_dropped_when_the_table_returns(self):
         from braidcensus import census
 
         sizes = []
-        count_table(5, 6, threads=1, progress=lambda d, t, s: sizes.append(len(census._MEMO.zones)))
+        count_table(5, 6, threads=1, progress=lambda d, t, s: sizes.append(len(census._MEMO)))
         assert max(sizes) > 0
-        assert not census._MEMO.zones and not census._MEMO.states
+        assert not census._MEMO and not census._MEMO.states
 
     def test_memo_is_dropped_when_progress_raises(self):
         from braidcensus import census
 
         def progress(done, total, s):
             if sum(s) == 4 and done == 2:
-                assert census._MEMO.zones
+                assert census._MEMO
                 raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError, match="stop"):
             count_table(5, 6, threads=1, progress=progress)
-        assert not census._MEMO.zones and not census._MEMO.states
+        assert not census._MEMO and not census._MEMO.states
 
-    def test_lines_longer_than_a_byte_can_number(self):
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_lines_longer_than_a_byte_can_number(self, prune):
         # L_1 or L_2 has up to 261 nodes here, past what a bytes state holds
-        assert count_actual(3, 130, threads=1).g == g3_totient(130)
+        assert count_actual(3, 130, threads=1, prune=prune).g == g3_totient(130)

@@ -99,6 +99,15 @@ class TestParse:
         with pytest.raises(CoordinateError):
             parse_coords("(0,0,1,1)")
 
+    @pytest.mark.parametrize("entry", ["\u0660", "0_0", "+0", ""])
+    def test_rejects_entries_that_are_not_ascii_decimal(self, entry):
+        with pytest.raises(CoordinateError, match="non-integer entry"):
+            parse_coords(f"(0,{entry},0)")
+
+    def test_negative_entry_is_named_by_position(self):
+        with pytest.raises(CoordinateError, match="negative entry -1 at position 1"):
+            parse_coords("(0,-1,0)")
+
 
 class TestNorm:
     def test_trivial_braid(self):

@@ -170,6 +170,21 @@ class TestStructure:
                     assert {arc.u, arc.v} == want and arc.zone == i, (c, i)
         assert shapes == {-1, 0, 1}
 
+    def test_arcs_run_in_drawing_order(self, rng):
+        # render_svg draws each arc from u to v as it stands: a straight,
+        # cross or closure arc runs from line zone - 1 to line zone, and a
+        # box arc has u below v on the line it bulges from
+        for c in fuzz_coordinates(rng, 400, nmax=8, kmax=12):
+            for closed in (False, True):
+                g = build_arc_graph(c, closed_by_above=closed)
+                for arc in g.arcs:
+                    (iu, ju), (iv, jv) = g.line_of(arc.u), g.line_of(arc.v)
+                    if arc.kind in (LEFT_BOX, RIGHT_BOX):
+                        line = arc.zone - 1 if arc.kind == LEFT_BOX else arc.zone
+                        assert iu == iv == line and ju < jv, (c, closed, arc)
+                    else:
+                        assert (iu, iv) == (arc.zone - 1, arc.zone), (c, closed, arc)
+
     def test_line_of_inverts_node(self, rng):
         for c in fuzz_coordinates(rng, 100):
             g = build_arc_graph(c)
