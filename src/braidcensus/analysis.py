@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import census as census_mod
-from .closedform import g2, g3_totient, totient_sieve
+from .closedform import series
 from .coords import SVector, VirtualCoordinates, count_s_vectors
 from .diagram import is_actual
 
@@ -76,6 +76,8 @@ def bounds_table(
     threads: int | None = None,
     cache: "census_mod.CensusCache | None" = None,
 ) -> list[BoundReport]:
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
     if kmax < 0:
         raise ValueError(f"need kmax >= 0, got {kmax}")
     if with_census:
@@ -138,11 +140,7 @@ def ratio_series(
     if kmax < 0:
         raise ValueError(f"need kmax >= 0, got {kmax}")
     if source == "closedform":
-        if n == 2:
-            values = [g2(k) for k in range(kmax + 1)]
-        else:
-            table = totient_sieve(max(kmax + 2, 3))
-            values = [g3_totient(k, table) for k in range(kmax + 1)]
+        values = series(f"G{n}", kmax).coefficients
     else:
         records = census_mod.count_table(n, kmax, threads=threads, cache=cache)
         values = [r.g for r in records]

@@ -122,17 +122,23 @@ class CensusRecord:
     engine_version: str = ENGINE_VERSION
     tuples_examined: int | None = None
 
+    def as_dict(self) -> dict:
+        """The fields in their printed order, as the CLI writes them."""
+        return {
+            "n": self.n,
+            "k": self.k,
+            "g": self.g,
+            "mode": self.mode,
+            "engine_version": self.engine_version,
+            "elapsed_ms": self.elapsed_ms,
+            "tuples_examined": self.tuples_examined,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "k": self.k,
-                "g": self.g,
-                "mode": self.mode,
-                "engine_version": self.engine_version,
-                "elapsed_ms": self.elapsed_ms,
-            }
-        )
+        """One cache line: as_dict without tuples_examined."""
+        row = self.as_dict()
+        del row["tuples_examined"]
+        return json.dumps(row)
 
 
 def _arc_table(bl: int, br: int, sl: int, sr: int) -> list[list[tuple[int, int]]]:

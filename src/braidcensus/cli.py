@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 
 from . import __version__, analysis, census, coords, render, verify
 
@@ -24,18 +25,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
-
-
-def _record_dict(r: census.CensusRecord) -> dict:
-    return {
-        "n": r.n,
-        "k": r.k,
-        "g": r.g,
-        "mode": r.mode,
-        "engine_version": r.engine_version,
-        "elapsed_ms": r.elapsed_ms,
-        "tuples_examined": r.tuples_examined,
-    }
 
 
 def _open_cache(path: str | None) -> census.CensusCache | None:
@@ -58,7 +47,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     record = census.count_actual(
         args.n, args.k, threads=args.threads, prune=args.prune, cache=cache
     )
-    print(json.dumps(_record_dict(record)))
+    print(json.dumps(record.as_dict()))
     return EXIT_OK
 
 
@@ -75,7 +64,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(census.table_csv(records))
     else:
-        print(json.dumps([_record_dict(r) for r in records]))
+        print(json.dumps([r.as_dict() for r in records]))
     return EXIT_OK
 
 
@@ -101,17 +90,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         threads=args.threads,
         cache=cache,
     )
-    rows = [
-        {
-            "n": r.n,
-            "k": r.k,
-            "lower": r.lower,
-            "g": r.g,
-            "upper": str(r.upper),
-            "ok": r.verdict,
-        }
-        for r in reports
-    ]
+    rows = []
+    for report in reports:
+        row = asdict(report)
+        row["upper"] = str(row["upper"])
+        row["ok"] = row.pop("verdict")
+        rows.append(row)
     print(json.dumps(rows))
     if args.with_census and not all(r.verdict for r in reports):
         return EXIT_FAILURE
@@ -131,19 +115,8 @@ def cmd_ratios(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(analysis.ratios_csv(points))
     else:
-        rows = []
-        for p in points:
-            row = {
-                "n": p.n,
-                "k": p.k,
-                "g": p.g,
-                "ratio_k": p.ratio_k,
-                "ratio_shift": p.ratio_shift,
-                "residue": p.residue,
-            }
-            if p.pi2_scaled is not None:
-                row["pi2_scaled"] = p.pi2_scaled
-            rows.append(row)
+        # pi2_scaled, set for n = 3 only, is the one field that can be None
+        rows = [{key: v for key, v in asdict(p).items() if v is not None} for p in points]
         print(json.dumps(rows))
     return EXIT_OK
 
@@ -154,7 +127,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
             raise ValueError(f"cache show takes one --path, got {len(args.path)}")
         os.stat(args.path[0])  # raises when missing; CensusCache would read it as empty
         store = census.CensusCache(args.path[0])
-        print(json.dumps([_record_dict(r) for r in store.records()]))
+        print(json.dumps([r.as_dict() for r in store.records()]))
         return EXIT_OK
     target, *sources = args.path
     total = census.merge_caches(target, sources)

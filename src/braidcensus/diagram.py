@@ -50,22 +50,17 @@ class Arc(NamedTuple):
 class Partition:
     """Union-find over a fixed index range, tracking the class count.
 
-    Uses path halving and union by size.  reset() restores the discrete
-    partition without reallocating, so one arena can serve many graphs.
+    Uses path halving.  reset() restores the discrete partition without
+    reallocating, so one arena can serve many graphs.
     """
 
     def __init__(self, size: int):
         self.parent = list(range(size))
-        self.size = [1] * size
         self.count = size
 
     def reset(self) -> None:
-        parent = self.parent
-        size = self.size
-        for i in range(len(parent)):
-            parent[i] = i
-            size[i] = 1
-        self.count = len(parent)
+        self.parent[:] = range(len(self.parent))
+        self.count = len(self.parent)
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -79,10 +74,7 @@ class Partition:
         ry = self.find(y)
         if rx == ry:
             return False
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
         self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
         self.count -= 1
         return True
 

@@ -11,13 +11,17 @@ shift u -> u - 1.  Cyclicity has gcd criteria:
 
 with gcd taken on absolute values and gcd(0, x) = |x| (math.gcd's
 convention).  Orbit counting by explicit traversal serves as the oracle
-for both criteria.  Everything here is pure and thread-safe.
+for both criteria.  b3_actual checks its tuple with coords.validate, the
+one implementation of the admissibility rule.  Everything here is pure and
+thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .coords import validate
 
 
 @dataclass(frozen=True)
@@ -194,7 +198,7 @@ def b3_actual(k: int, ell: int, a1: int, a2: int, a3: int) -> bool:
     vertical mirror for a1 = 0, and tuple reversal for k > l.  Must agree
     with the diagram reconstruction on every input (tested exhaustively).
     """
-    _check_b3_ranges(k, ell, a1, a2, a3)
+    validate(3, (0, a1, k, a2, ell, a3, 0))  # CoordinateError, a ValueError
     if k > ell:
         return b3_actual(ell, k, a3, a2, a1)
     if ell == 0:
@@ -207,18 +211,6 @@ def b3_actual(k: int, ell: int, a1: int, a2: int, a3: int) -> bool:
         # vertical mirror onto the a1 = 1 branch; s is unchanged
         a2, a3 = 2 * k + 1 - a2, 1 - a3
     return theta_is_cyclic(B3Regime(k=k, ell=ell, a2=a2, a3=a3))
-
-
-def _check_b3_ranges(k: int, ell: int, a1: int, a2: int, a3: int) -> None:
-    if k < 0 or ell < 0:
-        raise ValueError(f"need k, l >= 0, got k={k}, l={ell}")
-    for name, value, hi in (
-        ("a1", a1, 1 if k != 0 else 0),
-        ("a2", a2, 2 * min(k, ell) + (1 if k != ell else 0)),
-        ("a3", a3, 1 if ell != 0 else 0),
-    ):
-        if not 0 <= value <= hi:
-            raise ValueError(f"{name}={value} out of range 0..{hi}")
 
 
 def c_pair(k: int, ell: int) -> int:

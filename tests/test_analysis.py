@@ -118,3 +118,17 @@ def test_ratio_shift_uses_k_plus_n():
     p = points[-1]
     assert p.ratio_shift == pytest.approx(p.g / (3 + 3) ** 2)
     assert p.pi2_scaled == pytest.approx(math.pi**2 * p.g / 9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: lower_bound(0, 1), id="lower_bound-n0"),
+        pytest.param(lambda: lower_bound(2, -1), id="lower_bound-k-1"),
+        pytest.param(lambda: ratio_series(4, 3, rho=0), id="ratio_series-rho0"),
+        pytest.param(lambda: bounds_table(1, 3, with_census=True), id="bounds_table-n1"),
+    ],
+)
+def test_bad_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from braidcensus import analysis
 from braidcensus.cli import run
 from braidcensus.closedform import g3_totient
 
@@ -165,6 +167,28 @@ class TestBounds:
         rows = json.loads(out)
         assert all(r["g"] is None and r["ok"] is None for r in rows)
 
+    def test_bound_violation_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "upper_bound", lambda n, k: Fraction(1))
+        code, out, _ = run_capture(
+            capsys, ["bounds", "--n", "2", "--kmax", "2", "--with-census", "--threads", "1"]
+        )
+        assert code == 1
+        assert json.loads(out) == [
+            {"n": 2, "k": 0, "lower": 1, "g": 1, "upper": "1", "ok": True},
+            {"n": 2, "k": 1, "lower": 1, "g": 2, "upper": "1", "ok": False},
+            {"n": 2, "k": 2, "lower": 1, "g": 2, "upper": "1", "ok": False},
+        ]
+
+    def test_one_strand_fails_before_the_census(self, capsys, tmp_path):
+        cache = tmp_path / "F.jsonl"
+        code, out, err = run_capture(
+            capsys,
+            ["bounds", "--n", "1", "--kmax", "3", "--with-census", "--cache", str(cache)],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "n=1" in err
+        assert not cache.exists()
+
 
 class TestRatios:
     def test_closedform_json(self, capsys):
@@ -251,6 +275,11 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    def test_zero_residue_modulus_is_usage_error(self, capsys):
+        code, out, err = run_capture(capsys, ["ratios", "--n", "4", "--kmax", "3", "--rho", "0"])
+        assert (code, out) == (2, "")
+        assert "residue modulus" in err
 
     def test_table_progress_names_each_row(self, capsys):
         code, _, err = run_capture(

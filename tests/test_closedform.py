@@ -12,6 +12,7 @@ from braidcensus.closedform import (
     gamma_term,
     phi_hat,
     series,
+    totient_sieve,
 )
 
 
@@ -138,3 +139,23 @@ class TestPhiHat:
         for k in range(1, 500):
             assert hat[4 * k] == 2 * hat[2 * k] + hat[2 * k - 1], k
             assert hat[4 * k + 2] == 2 * hat[2 * k] + hat[2 * k + 1], k
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: totient_sieve(5).summatory(6), IndexError, id="summatory-beyond"),
+        pytest.param(lambda: totient_sieve(0), ValueError, id="totient_sieve-0"),
+        pytest.param(lambda: g2(-1), ValueError, id="g2"),
+        pytest.param(lambda: g3_totient(-1), ValueError, id="g3_totient"),
+        pytest.param(lambda: g3_via_c(-1), ValueError, id="g3_via_c"),
+        pytest.param(lambda: gamma_term(-1), ValueError, id="gamma_term"),
+        pytest.param(lambda: g3_via_gamma(-1), ValueError, id="g3_via_gamma"),
+        pytest.param(lambda: series("G2", -1), ValueError, id="series"),
+        pytest.param(lambda: f_half_totient(2), ValueError, id="f_half_totient"),
+        pytest.param(lambda: phi_hat(-1), ValueError, id="phi_hat"),
+    ],
+)
+def test_bad_arguments_are_rejected(call, error):
+    with pytest.raises(error):
+        call()

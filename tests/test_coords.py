@@ -230,3 +230,18 @@ def test_raw_round_trip(rng):
     for c in fuzz_coordinates(rng, 200):
         assert validate(c.n, c.raw()) == c
         assert isinstance(c, VirtualCoordinates)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: validate(0, (0,)), id="validate-n0"),
+        pytest.param(lambda: parse_coords("()"), id="parse-empty"),
+        pytest.param(lambda: SVector(n=3, s=(1,)), id="svector-length"),
+        pytest.param(lambda: SVector(n=3, s=(1, -1)), id="svector-negative"),
+        pytest.param(lambda: list(enumerate_s_vectors(0, 0)), id="enumerate-n0"),
+    ],
+)
+def test_bad_input_raises_coordinate_error(call):
+    with pytest.raises(CoordinateError):
+        call()

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from braidcensus.coords import validate
+from braidcensus.coords import CoordinateError, validate
 from braidcensus.diagram import is_actual
 from braidcensus.perms import (
     B3Regime,
@@ -225,6 +225,23 @@ class TestCPair:
                     if is_actual(validate(3, (0, a1, k, a2, ell, a3, 0)))
                 )
                 assert c_pair(k, ell) == brute, (k, ell)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: Translation(0, 0), ValueError, id="translation-modulus"),
+        pytest.param(lambda: TranslatedCut(0, 0, 0, 0), ValueError, id="cut-modulus"),
+        pytest.param(lambda: TranslatedCut(3, -1, 0, 0), ValueError, id="cut-negative"),
+        pytest.param(lambda: is_cyclic_translation(3, 4), ValueError, id="translation-a"),
+        pytest.param(lambda: c_pair(-1, 2), ValueError, id="c_pair"),
+        # 3-strand tuples are checked by coords.validate
+        pytest.param(lambda: b3_actual(-1, 2, 0, 0, 0), CoordinateError, id="b3_actual-k"),
+    ],
+)
+def test_bad_arguments_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_reimport_releases_the_old_module():

@@ -1,7 +1,11 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 
-from braidcensus import analysis, closedform, coords, diagram, perms
-from braidcensus.verify import MAX_FAILURES, run_suite
+import pytest
+
+from braidcensus import analysis, census, closedform, coords, diagram, perms
+from braidcensus.verify import MAX_FAILURES, check_structure, check_symmetry, run_suite
 
 
 def first_fuzz_tuples(seed, kmax, count):
@@ -53,3 +57,137 @@ def test_disconnected_witness_is_reported(monkeypatch):
         w = analysis.witness_a_for_s(coords.SVector(n=c.n, s=c.s[1:-1]), verify=False)
         want.append(f"{c}: witness construction produced a disconnected tuple {w}")
     assert result["failures"] == want
+
+
+def test_cyclicity_cuts_are_checked(monkeypatch):
+    monkeypatch.setattr(perms, "is_cyclic_translated_cut", lambda n, a, b, c: True)
+    result = run_suite("cyclicity", kmax=12)
+    want = [
+        f"TCut({n},{a},{b},{c}): gcd says True, orbits say False"
+        for n in range(1, 13)
+        for a in range(n + 1)
+        for b in range(n - a + 1)
+        for c in range(n - a - b + 1)
+        if perms.orbit_count(perms.TranslatedCut(n, a, b, c)) != 1
+    ]
+    assert result["ok"] is False
+    assert result["failures"] == want[:MAX_FAILURES]
+
+
+def test_b3_evaluators_must_agree(monkeypatch):
+    real = closedform.g3_via_gamma
+    monkeypatch.setattr(closedform, "g3_via_gamma", lambda k, table=None: real(k, table) + 1)
+    result = run_suite("b3-closed-form", kmax=4, threads=1)
+    want = []
+    for k in range(5):
+        g = closedform.g3_totient(k)
+        want.append(f"g(3,{k}): totient={g} pairs={g} gamma={g + 1} census={g}")
+    assert result == {"suite": "b3-closed-form", "ok": False, "checked": 5, "failures": want}
+
+
+def test_theta_bridge_reports_a_wrong_gcd_verdict(monkeypatch):
+    real = perms.theta_is_cyclic
+    monkeypatch.setattr(perms, "theta_is_cyclic", lambda r: True)
+    result = run_suite("theta-bridge", kmax=4)
+    want = [
+        f"{coords.validate(3, (0, 1, k, a2, ell, a3, 0))}: "
+        "orbit map cyclic=False gcd=True connected=False"
+        for k in range(1, 5)
+        for ell in range(k + 1, 5)
+        for a2 in range(2 * k + 2)
+        for a3 in (0, 1)
+        if not real(perms.B3Regime(k=k, ell=ell, a2=a2, a3=a3))
+    ]
+    assert result["ok"] is False
+    assert result["failures"] == want[:MAX_FAILURES]
+
+
+def test_bounds_suite_reports_counts_outside_the_sandwich(monkeypatch):
+    monkeypatch.setattr(analysis, "upper_bound", lambda n, k: Fraction(0))
+    result = run_suite("bounds", kmax=2, threads=1)
+    assert result["checked"] == MAX_FAILURES
+    assert result["failures"] == [
+        "g(2,0)=1 outside [1, 0]",
+        "g(2,1)=2 outside [1, 0]",
+        "g(2,2)=2 outside [1, 0]",
+        "g(3,0)=1 outside [1, 0]",
+        "g(3,1)=4 outside [2, 0]",
+    ]
+
+
+def test_pruned_counts_must_match_plain(monkeypatch):
+    real = census.count_table
+
+    def off_by_one_when_pruned(n, kmax, *, threads=None, prune=False):
+        return [replace(r, g=r.g + prune) for r in real(n, kmax, threads=threads, prune=prune)]
+
+    monkeypatch.setattr(census, "count_table", off_by_one_when_pruned)
+    result = run_suite("prune-consistency", kmax=1, threads=1)
+    assert result["checked"] == MAX_FAILURES
+    assert result["failures"] == [
+        "g(1,0): plain=1 pruned=2",
+        "g(1,1): plain=0 pruned=1",
+        "g(2,0): plain=1 pruned=2",
+        "g(2,1): plain=2 pruned=3",
+        "g(3,0): plain=1 pruned=2",
+    ]
+
+
+def test_symmetry_suite_reports_a_wrong_half_turn(monkeypatch):
+    tuples = first_fuzz_tuples(20240603, 8, 100)
+    moved = [i for i, c in enumerate(tuples) if coords.sym_c(c) != c][:MAX_FAILURES]
+    monkeypatch.setattr(coords, "sym_c", lambda c: c)
+    result = run_suite("symmetry", kmax=8)
+    assert result["checked"] == moved[-1] + 1
+    assert result["failures"] == [
+        f"{tuples[i]}: mirror maps do not commute into the half-turn" for i in moved
+    ]
+
+
+REAL_BUILD = diagram.build_arc_graph
+ONE_STRAND = coords.validate(1, (0, 0, 0))
+
+
+def _open_graph_only(c, closed_by_above=False):
+    return REAL_BUILD(c)
+
+
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        (
+            "build_arc_graph",
+            lambda c, closed_by_above=False: replace(REAL_BUILD(c), arcs=()),
+            "node 0 has degree 0, expected 1",
+        ),
+        ("tightness_check", lambda g: False, "a minimal same-line arc misses its puncture"),
+        ("build_arc_graph", _open_graph_only, "closed graph: node 0 has degree 1"),
+        ("component_count", lambda g: len(g.arcs), "closing by above changed the component count"),
+        (
+            "zone_noninterleaving",
+            lambda g: not g.closed,
+            "closed graph: interleaving arcs inside one zone",
+        ),
+    ],
+    ids=["degree", "tightness", "closed-degree", "component-count", "closed-interleaving"],
+)
+def test_structure_audit_names_each_fault(monkeypatch, name, fake, message):
+    assert check_structure(ONE_STRAND) is None
+    monkeypatch.setattr(diagram, name, fake)
+    assert check_structure(ONE_STRAND) == message
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, message",
+    [
+        (coords, "sym_v", lambda c: replace(c, a=(1, 1)), "a mirror map is not an involution"),
+        (coords, "sym_c", lambda c: c, "mirror maps do not commute into the half-turn"),
+        (diagram, "is_actual", lambda c: c.a[0] == 0, "connectivity not invariant under a mirror"),
+    ],
+    ids=["involution", "half-turn", "connectivity"],
+)
+def test_symmetry_audit_names_each_fault(monkeypatch, module, name, fake, message):
+    c = coords.validate(2, (0, 0, 1, 0, 0))  # its vertical mirror has offsets (1, 1)
+    assert check_symmetry(c) is None
+    monkeypatch.setattr(module, name, fake)
+    assert check_symmetry(c) == message

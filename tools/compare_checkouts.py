@@ -9,10 +9,15 @@ every key that differs is printed with both values.  Probes:
   verify:<suite>:<size>   `braidcensus verify --suite S [--kmax K] --threads 1`
                           stdout, at the default size and at the sizes
                           tests/test_cli.py runs
+  cli:<command>           exit code and stdout of each CLI_COMMANDS entry,
+                          run in order with its cache file in a temporary
+                          directory and every elapsed_ms masked to 0
   fault:<name>            run_suite output with one function patched wrong
   nesting:real|swapped    zone_noninterleaving on fuzzed graphs, open and
                           closed, and on copies with the far ends of two
                           same-zone arcs swapped: a digest and the counts
+  graph                   a digest of arcs, puncture_arcs and component_count
+                          of build_arc_graph on fuzzed tuples, open and closed
   svg                     a digest of render_svg bytes on fuzzed tuples
   walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
                           of WALK_ROWS, each walked by census._worker (weight
@@ -31,8 +36,10 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 # the sizes TestVerify.test_every_suite_passes runs (tests/test_cli.py)
@@ -40,7 +47,25 @@ SUITE_SIZE = {
     "b2": 10, "b3-closed-form": 8, "cyclicity": 8, "theta-bridge": 6, "bounds": 4,
     "witnesses": 8, "tightness": 8, "symmetry": 8, "prune-consistency": 4,
 }
-GRAPHS = 20_000  # tuples for the nesting probe; each is built open and closed
+# (probe name, argv): run in this order, so cache show reads what count wrote
+CLI_COMMANDS = [
+    ("count", "count --n 4 --k 3 --threads 1 --cache {cache}"),
+    ("count-prune", "count --n 3 --k 5 --prune --threads 1"),
+    ("table-json", "table --n 3 --kmax 6 --threads 1 --cache {cache}"),
+    ("table-csv", "table --n 4 --kmax 4 --format csv --threads 1"),
+    ("bounds", "bounds --n 4 --kmax 5"),
+    ("bounds-census", "bounds --n 3 --kmax 6 --with-census --threads 1"),
+    ("ratios-census-json", "ratios --n 4 --kmax 6 --threads 1"),
+    ("ratios-census-csv", "ratios --n 3 --kmax 6 --format csv --threads 1"),
+    ("ratios-census-kmax0", "ratios --n 4 --kmax 0 --threads 1"),
+    ("ratios-g2-json", "ratios --n 2 --kmax 8 --source closedform"),
+    ("ratios-g3-json", "ratios --n 3 --kmax 8 --source closedform"),
+    ("ratios-g3-csv", "ratios --n 3 --kmax 8 --source closedform --format csv"),
+    ("ratios-g3-kmax0", "ratios --n 3 --kmax 0 --source closedform"),
+    ("ratios-g3-kmax1000", "ratios --n 3 --kmax 1000 --source closedform"),
+    ("cache-show", "cache show --path {cache}"),
+]
+GRAPHS = 20_000  # tuples for the nesting and graph probes; each built open and closed
 SVGS = 1_000  # tuples for the svg probe; each is drawn open and closed
 # (n, kmax, kmin) for the walk probe: TestWalker's grid (tests/test_census.py),
 # n = 7, 8 at small k, single rows whose lines pass 255 nodes, and the rows
@@ -119,6 +144,19 @@ def _nesting() -> dict:
     }
 
 
+def _graphs() -> dict:
+    from braidcensus import coords, diagram
+
+    rng = random.Random(1913)
+    built = []
+    for _ in range(GRAPHS):
+        c = coords.random_coordinates(rng, rng.randint(1, 8), rng.randint(0, 12))
+        for closed in (False, True):
+            g = diagram.build_arc_graph(c, closed_by_above=closed)
+            built.append((g.arcs, g.puncture_arcs, diagram.component_count(g)))
+    return {"graph": {"graphs": len(built), "digest": _digest(built)}}
+
+
 def _svg() -> dict:
     from braidcensus import coords, render
 
@@ -174,9 +212,23 @@ def _verify_outputs() -> dict:
     return out
 
 
+def _cli_outputs() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = os.path.join(tmp, "cache.jsonl")
+        for name, command in CLI_COMMANDS:
+            argv = command.format(cache=cache).split()
+            run = subprocess.run(
+                [sys.executable, "-m", "braidcensus", *argv], capture_output=True, text=True
+            )
+            stdout = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', run.stdout)
+            out[f"cli:{name}"] = [run.returncode, stdout]
+    return out
+
+
 def probe() -> None:
     results = _verify_outputs()
-    for part in (_faults, _nesting, _svg, _walks):
+    for part in (_cli_outputs, _faults, _nesting, _graphs, _svg, _walks):
         results.update(part())
     print(json.dumps(results))
 
