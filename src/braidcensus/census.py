@@ -1,13 +1,14 @@
 """Exhaustive counting of connected coordinate tuples, g(n, k).
 
-The count for fixed (n, k) splits over interior s-vectors; one s-vector is
-one work unit, dispatched either inline or over a process pool (CPython
-threads would serialise on the interpreter lock, so "threads" here are
-worker processes; results are summed, so the outcome is independent of
-worker count and scheduling).  A call to count_table or count_actual
-creates at most one pool, shared by all of its rows, and shuts it down
-before it returns or raises.  No pool is made with one worker, or when
-every row is a cache hit or has at most one work unit.
+The count for fixed (n, k) splits over interior s-vectors, one work unit
+each.  A count_table or count_actual call lists the units of every row to
+compute and streams them, in order, through one map: inline, or over one
+process pool (worker processes: CPython threads would serialise on the
+interpreter lock) made only with more than one worker and a row of more
+than one unit, no wider than the widest row, fed in chunks sized by that
+row alone, and shut down before the call returns or raises.  Each row's
+results are summed, so counts do not depend on scheduling; its elapsed_ms
+is the time the caller waited for it after the previous row.
 
 Within one s-vector the offsets are chosen zone by zone, left to right.
 Each zone's arcs at each offset are plain (u, v) pairs from
@@ -89,7 +90,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable
 
-from .coords import SVector, a_range_size, count_a_tuples, count_s_vectors, enumerate_s_vectors
+from .coords import SVector, a_range_size, count_a_tuples, enumerate_s_vectors
 from .diagram import zone_arc_pairs
 
 ENGINE_VERSION = "braidcensus-1"
@@ -258,7 +259,7 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions) -> tuple[int, int]:
 
 
 def count_for_s_vector(sv: SVector) -> int:
-    """Connected offset tuples over one s-vector (the parallel work unit)."""
+    """Connected offset tuples over one s-vector, walked alone with a fresh memo."""
     return _walk(sv, False, _Transitions())[0]
 
 
@@ -302,53 +303,49 @@ def _count_rows(
     cache: "CensusCache | None",
     progress: ProgressFn | None,
 ) -> list[CensusRecord]:
-    """Census rows for n and each k, sharing at most one worker pool."""
+    """Census rows for n and each k, from one ordered map over their units."""
     mode = MODE_PRUNED if prune else MODE_PLAIN
     workers = threads if threads is not None else default_threads()
     if workers < 1:
         raise ValueError(f"thread count must be >= 1, got {workers}")
     hits = {k: cache.lookup(n, k) if cache is not None else None for k in ks}
-    # sized for the widest row to compute (mirror pruning only narrows rows)
-    widest = max(
-        (count_s_vectors(n, k) for k, hit in hits.items() if hit is None), default=0
-    )
+    rows = {k: list(_work_units(n, k, mode)) for k, hit in hits.items() if hit is None}
+    widest = max(map(len, rows.values()), default=0)
+    units = [unit for row in rows.values() for unit in row]
     pool = None
     records = []
     _MEMO.clear()  # workers forked below inherit it as it is then
     try:
+        if workers > 1 and widest > 1:
+            pool = ProcessPoolExecutor(
+                max_workers=min(workers, widest),
+                # Ctrl-C reaches every process in the group; the caller
+                # handles it and shuts the pool down, so workers ignore it
+                initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN),
+            )
+            # sized by the widest row, not by all units: no chunk is coarser
+            # than that row's would be alone, so neither Ctrl-C latency nor
+            # the gap between progress reports grows with the table
+            results = pool.map(_worker, units, chunksize=max(1, widest // (8 * workers)))
+        else:
+            results = map(_worker, units)
+        started = time.perf_counter()
         for k, record in hits.items():
             if record is None:
-                units = list(_work_units(n, k, mode))
-                if pool is None and workers > 1 and len(units) > 1:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(workers, widest),
-                        # Ctrl-C reaches every process in the group; the caller
-                        # handles it and shuts the pool down, so workers ignore it
-                        initializer=signal.signal,
-                        initargs=(signal.SIGINT, signal.SIG_IGN),
-                    )
-                started = time.perf_counter()
-                if pool is None or len(units) <= 1:
-                    results = map(_worker, units)
-                else:
-                    chunk = max(1, len(units) // (8 * workers))
-                    results = pool.map(_worker, units, chunksize=chunk)
+                row = rows[k]
                 total = examined = 0
-                for done, (unit, (part, part_examined)) in enumerate(zip(units, results), 1):
+                # row first: zip stops at its end without taking the next row's result
+                for done, (unit, (part, part_examined)) in enumerate(zip(row, results), 1):
                     total += part
                     examined += part_examined
                     if progress is not None:
-                        progress(done, len(units), unit[1])
-                record = CensusRecord(
-                    n=n,
-                    k=k,
-                    g=total,
-                    mode=mode,
-                    elapsed_ms=int((time.perf_counter() - started) * 1000),
-                    tuples_examined=examined,
-                )
+                        progress(done, len(row), unit[1])
+                elapsed_ms = int((time.perf_counter() - started) * 1000)
+                record = CensusRecord(n, k, total, mode, elapsed_ms, tuples_examined=examined)
                 if cache is not None:
                     cache.add(record)
+                started = time.perf_counter()
             records.append(record)
     finally:
         if pool is not None:

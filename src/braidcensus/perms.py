@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coords import validate
+from .coords import sym_v, validate
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def b3_actual(k: int, ell: int, a1: int, a2: int, a3: int) -> bool:
     vertical mirror for a1 = 0, and tuple reversal for k > l.  Must agree
     with the diagram reconstruction on every input (tested exhaustively).
     """
-    validate(3, (0, a1, k, a2, ell, a3, 0))  # CoordinateError, a ValueError
+    c = validate(3, (0, a1, k, a2, ell, a3, 0))  # CoordinateError, a ValueError
     if k > ell:
         return b3_actual(ell, k, a3, a2, a1)
     if ell == 0:
@@ -209,7 +209,7 @@ def b3_actual(k: int, ell: int, a1: int, a2: int, a3: int) -> bool:
         return (a1, a3) in ((0, 1), (1, 0))
     if a1 == 0:
         # vertical mirror onto the a1 = 1 branch; s is unchanged
-        a2, a3 = 2 * k + 1 - a2, 1 - a3
+        _, a2, a3 = sym_v(c).a
     return theta_is_cyclic(B3Regime(k=k, ell=ell, a2=a2, a3=a3))
 
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from braidcensus.analysis import lower_bound, upper_bound, witness_a_for_s
-from braidcensus.census import CensusCache, count_actual
+from braidcensus.census import CensusCache, count_actual, count_table
 from braidcensus.closedform import (
     g2,
     g3_totient,
@@ -39,12 +39,12 @@ def acceptance_cache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def g4_table(acceptance_cache):
-    return {k: count_actual(4, k, cache=acceptance_cache).g for k in range(41)}
+    return {r.k: r.g for r in count_table(4, 40, cache=acceptance_cache)}
 
 
 @pytest.fixture(scope="session")
 def g5_table(acceptance_cache):
-    return {k: count_actual(5, k, cache=acceptance_cache).g for k in range(17)}
+    return {r.k: r.g for r in count_table(5, 16, cache=acceptance_cache)}
 
 
 def test_criterion_01_two_strand_oracle():

@@ -183,12 +183,13 @@ class TestCache:
         merged = CensusCache(a)
         assert merged.lookup(3, 2).g == g3_totient(2)
 
-    def test_resume_partial_table(self, tmp_path):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_resume_partial_table(self, tmp_path, threads):
         path = str(tmp_path / "c.jsonl")
         cache = CensusCache(path)
         count_actual(3, 2, threads=1, cache=cache)
         # resuming a table reuses the stored row and fills in the rest
-        records = count_table(3, 4, threads=1, cache=CensusCache(path))
+        records = count_table(3, 4, threads=threads, cache=CensusCache(path))
         assert [r.g for r in records] == [g3_totient(k) for k in range(5)]
         assert len(CensusCache(path).records()) == 5
 
@@ -328,12 +329,26 @@ class TestTablePool:
             count_table(4, 6, threads=2, progress=progress)
         assert pool_events == [("made", 2), ("shutdown",)]
 
-    def test_progress_reports_every_row(self):
+    @pytest.mark.parametrize("prune", [False, True])
+    def test_progress_reports_every_row(self, prune):
         seen = []
-        count_table(3, 3, threads=2, progress=lambda d, t, s: seen.append((d, t, s)))
-        want = [sv.s for k in range(4) for sv in enumerate_s_vectors(3, k)]
+        count_table(
+            3, 3, threads=2, prune=prune, progress=lambda d, t, s: seen.append((d, t, s))
+        )
+        want = [
+            sv.s
+            for k in range(4)
+            for sv in enumerate_s_vectors(3, k)
+            if not prune or sv.s <= sv.s[::-1]
+        ]
         assert [s for _, _, s in seen] == want
-        assert [d for d, t, _ in seen if d == t] == [1, 2, 3, 4]
+        assert [d for d, t, _ in seen if d == t] == ([1, 1, 2, 2] if prune else [1, 2, 3, 4])
+
+    def test_pruned_table_sizes_its_pool_by_its_widest_pruned_row(self, pool_events):
+        # up to reversal, k = 2 keeps only (0, 2) and (1, 1) of its three s-vectors
+        records = count_table(3, 2, threads=8, prune=True)
+        assert pool_events == [("made", 2), ("shutdown",)]
+        assert [r.g for r in records] == [r.g for r in count_table(3, 2, threads=1)]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,11 @@ every key that differs is printed with both values.  Probes:
                           the whole grid
   walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
                           each counted alone by census.count_for_s_vector
+  table                   a digest of (k, g, mode, tuples examined) per record
+                          and of every progress call of count_table over
+                          TABLE_GRIDS, plain and pruned, on 1 and 2 workers,
+                          and of count_table(4, 6) on 2 workers resuming a
+                          cache that holds k = 2 and 4; pool sizes are left out
 
 Exit status: 0 when every probe agrees, 1 otherwise.
 """
@@ -76,6 +81,8 @@ WALK_ROWS = [
 ]
 # (n, kmax) for the single walk probe: TestWalker's grid (tests/test_census.py)
 SINGLE_ROWS = [(4, 10), (5, 8), (6, 6)]
+# (n, kmax) for the table probe, which runs the worker pool as well as the inline path
+TABLE_GRIDS = [(3, 8), (4, 10), (5, 6), (6, 5)]
 
 
 def _digest(items) -> str:
@@ -198,6 +205,28 @@ def _walks() -> dict:
     return out
 
 
+def _tables() -> dict:
+    from braidcensus import census
+
+    def run(n, kmax, **options):
+        calls = []
+        records = census.count_table(n, kmax, progress=lambda *p: calls.append(p), **options)
+        return [(r.k, r.g, r.mode, r.tuples_examined) for r in records], calls
+
+    tables = [
+        run(n, kmax, threads=threads, prune=prune)
+        for n, kmax in TABLE_GRIDS
+        for prune in (False, True)
+        for threads in (1, 2)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = census.CensusCache(os.path.join(tmp, "cache.jsonl"))
+        for k in (2, 4):
+            cache.add(census.count_actual(4, k, threads=1))
+        tables.append(run(4, 6, threads=2, cache=cache))
+    return {"table": {"tables": len(tables), "digest": _digest(tables)}}
+
+
 def _verify_outputs() -> dict:
     out = {}
     for suite in sorted(SUITE_SIZE):
@@ -228,7 +257,7 @@ def _cli_outputs() -> dict:
 
 def probe() -> None:
     results = _verify_outputs()
-    for part in (_cli_outputs, _faults, _nesting, _graphs, _svg, _walks):
+    for part in (_cli_outputs, _faults, _nesting, _graphs, _svg, _walks, _tables):
         results.update(part())
     print(json.dumps(results))
 
