@@ -189,10 +189,7 @@ def series(label: str, kmax: int) -> SeriesTable:
 
 
 def _g3_series(kmax: int) -> list[int]:
-    phi = totient_sieve(max(kmax + 2, 3))
-    f2 = [0] * (kmax + 3)
-    for m in range(3, kmax + 3):
-        f2[m] = phi[m]  # doubled coefficients of F(z): 2 f_m = phi(m)
+    f2 = list(f_half_totient(max(kmax + 2, 3)).coefficients)  # 2 f_m = phi(m), m >= 3
     # head = 2 (1 + 2z - z^2) / (z^2 (1 - z^2)) * sum phi(n) z^n
     head = _mul_trunc(f2, [2, 4, -2], kmax + 2)
     head = _shift_down(head, 2)

@@ -109,7 +109,7 @@ def validate(n: int, raw: Sequence[int]) -> VirtualCoordinates:
     return VirtualCoordinates(n=n, s=s, a=a)
 
 
-def parse_coords(text: str, n: int | None = None) -> VirtualCoordinates:
+def parse_coords(text: str) -> VirtualCoordinates:
     """Parse the textual form "(s0,a1,s1,...,an,sn)"; whitespace is ignored."""
     stripped = "".join(text.split())
     if not (stripped.startswith("(") and stripped.endswith(")")):
@@ -124,13 +124,9 @@ def parse_coords(text: str, n: int | None = None) -> VirtualCoordinates:
         if not re.fullmatch(r"-?[0-9]+", part):
             raise CoordinateError(f"non-integer entry {part!r} in {text!r}")
     values = [int(part) for part in parts]
-    if n is None:
-        if len(values) % 2 == 0 or len(values) < 3:
-            raise CoordinateError(
-                f"tuple length must be odd and >= 3, got {len(values)}"
-            )
-        n = (len(values) - 1) // 2
-    return validate(n, values)
+    if len(values) % 2 == 0 or len(values) < 3:
+        raise CoordinateError(f"tuple length must be odd and >= 3, got {len(values)}")
+    return validate((len(values) - 1) // 2, values)
 
 
 def norm(c: VirtualCoordinates) -> int:

@@ -27,8 +27,8 @@ single-owner mutable state and must not be shared across threads.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .coords import VirtualCoordinates
@@ -83,35 +83,38 @@ class Partition:
 class ArcGraph:
     """The reconstructed arc structure of one coordinate tuple.
 
-    Node indices are flat: node (i, j) maps to bases[i] + j - 1, and the
-    closure nodes (one per interior line, present only when closed) come
-    after all line nodes, starting at top_start.
+    Node indices are flat and numbered by line_bases: node (i, j) is
+    line_bases(s)[i] + j - 1.  The closure nodes (one per interior line,
+    present only when closed) come after all line nodes.
     """
 
     n: int
     s: tuple[int, ...]
     a: tuple[int, ...]
-    bases: tuple[int, ...]
-    node_count: int
     arcs: tuple[Arc, ...]
     puncture_arcs: tuple[int, ...]
     closed: bool
-    top_start: int
 
     def node(self, i: int, j: int) -> int:
-        return self.bases[i] + j - 1
+        return line_bases(self.s)[i] + j - 1
+
+    @property
+    def node_count(self) -> int:
+        return line_bases(self.s)[-1] + (self.n - 1 if self.closed else 0)
+
+    @cached_property
+    def places(self) -> tuple[tuple[int, int], ...]:
+        """(line, 1-based position from the bottom) of each node; the closure
+        node of line i sits at (i, 2*s_i + 2), above all its regular points."""
+        bases = line_bases(self.s)
+        places = [(i, j) for i in range(self.n + 1) for j in range(1, bases[i + 1] - bases[i] + 1)]
+        if self.closed:
+            places += [(i, 2 * self.s[i] + 2) for i in range(1, self.n)]
+        return tuple(places)
 
     def line_of(self, v: int) -> tuple[int, int]:
-        """Inverse of node(): (line index, 1-based position from the bottom).
-
-        Closure nodes report their line with position 2*s_i + 2 (above all
-        regular points).
-        """
-        if self.closed and v >= self.top_start:
-            i = v - self.top_start + 1
-            return i, 2 * self.s[i] + 2
-        i = bisect_right(self.bases, v) - 1
-        return i, v - self.bases[i] + 1
+        """Inverse of node(), read from places."""
+        return self.places[v]
 
     def degrees(self) -> list[int]:
         deg = [0] * self.node_count
@@ -162,8 +165,6 @@ def build_arc_graph(
     """Apply the four arc rules and three puncture rules to a tuple."""
     n, s, a = c.n, c.s, c.a
     bases = line_bases(s)
-    top_start = bases[-1]
-    node_count = top_start + (n - 1 if closed_by_above else 0)
     arcs: list[Arc] = []
     puncture_arcs: list[int] = []
     for i in range(1, n + 1):
@@ -175,19 +176,16 @@ def build_arc_graph(
         for idx, (u, v) in enumerate(zone_arc_pairs(bases[i - 1], bases[i], sl, sr, ai)):
             arcs.append(Arc(u, v, i, STRAIGHT if idx < ai else box if idx < b else CROSS))
     if closed_by_above:
-        path = [0, *range(top_start, node_count), bases[n]]  # over the top, left to right
+        path = [0, *range(bases[-1], bases[-1] + n - 1), bases[n]]  # over the top
         for i in range(1, n + 1):
             arcs.append(Arc(path[i - 1], path[i], i, CLOSURE))
     return ArcGraph(
         n=n,
         s=s,
         a=a,
-        bases=tuple(bases[: n + 1]),
-        node_count=node_count,
         arcs=tuple(arcs),
         puncture_arcs=tuple(puncture_arcs),
         closed=closed_by_above,
-        top_start=top_start if closed_by_above else -1,
     )
 
 
@@ -221,8 +219,8 @@ def tightness_check(g: ArcGraph) -> bool:
     for idx in g.puncture_arcs:
         punctures_on[idx] = punctures_on.get(idx, 0) + 1
     for idx, arc in enumerate(g.arcs):
-        li, ju = g.line_of(arc.u)
-        lj, jv = g.line_of(arc.v)
+        li, ju = g.places[arc.u]
+        lj, jv = g.places[arc.v]
         if li == lj and abs(ju - jv) == 1:
             if punctures_on.get(idx, 0) != 1:
                 return False
@@ -236,14 +234,14 @@ def zone_noninterleaving(g: ArcGraph) -> bool:
     endpoints; in that circular order the arcs must nest like balanced
     parentheses.  Holds for every graph the construction produces.
     """
-    ends = (g.node(0, 1), g.node(g.n, 1))
+    place = g.places
     zones: list[list[tuple[tuple[int, float], int]]] = [[] for _ in range(g.n + 1)]
     for idx, arc in enumerate(g.arcs):
         for v in (arc.u, arc.v):
-            line, j = g.line_of(v)
-            if arc.kind == CLOSURE and v in ends:
-                # in the closed graph an endpoint marker carries two arcs; the
-                # closure one meets it half a step above the regular one
+            line, j = place[v]
+            if arc.kind == CLOSURE and j == 1:
+                # a closure arc ends at position 1 only on an endpoint marker, which
+                # it meets half a step above the marker's regular arc
                 j += 0.5
             zones[arc.zone].append(((0, j) if line == arc.zone - 1 else (1, -j), idx))
     for endpoints in zones:

@@ -54,7 +54,7 @@ def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
         return height - MARGIN - UNIT * j
 
     def pos(v: int) -> tuple[float, float]:
-        i, j = g.line_of(v)
+        i, j = g.places[v]
         return x_of(i), y_of(j)
 
     out = [_HEADER.format(w=_fmt(width), h=_fmt(height))]

@@ -89,11 +89,8 @@ def verify_theta_bridge(kmax: int = 20) -> Checks:
 def verify_bounds(kmax: int = 10, threads: int | None = None) -> Checks:
     """Sandwich bounds on censused counts, exact arithmetic."""
     for n in BOUNDS_NS:
-        for k, g in enumerate(_census_table(n, kmax, threads)):
-            report = analysis.BoundReport.build(n, k, g)
-            yield None if report.verdict else (
-                f"g({n},{k})={g} outside [{report.lower}, {report.upper}]"
-            )
+        for r in analysis.bounds_table(n, kmax, with_census=True, threads=threads):
+            yield None if r.verdict else f"g({n},{r.k})={r.g} outside [{r.lower}, {r.upper}]"
 
 
 def _fuzz(check: Callable, kmax: int, seed: int) -> Checks:

@@ -185,12 +185,19 @@ class TestStructure:
                     else:
                         assert (iu, iv) == (arc.zone - 1, arc.zone), (c, closed, arc)
 
-    def test_line_of_inverts_node(self, rng):
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_line_of_inverts_node(self, rng, closed):
         for c in fuzz_coordinates(rng, 100):
-            g = build_arc_graph(c)
+            g = build_arc_graph(c, closed_by_above=closed)
             for i in range(c.n + 1):
                 for j in range(1, 2 * c.s[i] + 2):
                     assert g.line_of(g.node(i, j)) == (i, j)
+            # the closure nodes of lines 1 .. n-1 follow the line nodes and
+            # sit one step above each line's top point
+            lines = g.node(c.n, 1) + 1
+            tops = [g.line_of(v) for v in range(lines, g.node_count)]
+            assert tops == ([(i, 2 * c.s[i] + 2) for i in range(1, c.n)] if closed else [])
+            assert g.node_count == lines + (c.n - 1 if closed else 0)
 
 
 class TestPartition:

@@ -16,8 +16,10 @@ every key that differs is printed with both values.  Probes:
   nesting:real|swapped    zone_noninterleaving on fuzzed graphs, open and
                           closed, and on copies with the far ends of two
                           same-zone arcs swapped: a digest and the counts
-  graph                   a digest of arcs, puncture_arcs and component_count
-                          of build_arc_graph on fuzzed tuples, open and closed
+  graph                   a digest of arcs, puncture_arcs, component_count,
+                          node_count, line_of(v) of every node, node(0, 1)
+                          and node(n, 1) of build_arc_graph on fuzzed tuples,
+                          open and closed
   svg                     a digest of render_svg bytes on fuzzed tuples
   walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
                           of WALK_ROWS, each walked by census._worker (weight
@@ -160,7 +162,10 @@ def _graphs() -> dict:
         c = coords.random_coordinates(rng, rng.randint(1, 8), rng.randint(0, 12))
         for closed in (False, True):
             g = diagram.build_arc_graph(c, closed_by_above=closed)
-            built.append((g.arcs, g.puncture_arcs, diagram.component_count(g)))
+            places = [g.line_of(v) for v in range(g.node_count)]
+            ends = (g.node(0, 1), g.node(c.n, 1))
+            count = diagram.component_count(g)
+            built.append((g.arcs, g.puncture_arcs, count, g.node_count, places, ends))
     return {"graph": {"graphs": len(built), "digest": _digest(built)}}
 
 
