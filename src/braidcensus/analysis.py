@@ -133,6 +133,8 @@ def ratio_series(
         raise ValueError(f"source must be one of {RATIO_SOURCES}, got {source!r}")
     if source == "closedform" and n not in (2, 3):
         raise ValueError(f"closed forms exist only for n in (2, 3), got n={n}")
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
     if rho is None:
         rho = DEFAULT_RESIDUE.get(n, 2)
     if rho < 1:

@@ -5,7 +5,8 @@ progress and errors go to stderr.  Exit codes: 0 success, 1 verification
 failure, data conflict, a worker process that died (its pool is broken) or
 a named file that cannot be read or written (an OSError, such as a missing
 directory, or a missing cache show file or cache merge source),
-2 usage error (bad flags, bad coordinate syntax, bad ranges),
+2 usage error (bad flags, bad coordinate syntax, bad ranges, a --threads
+below 1),
 130 interrupted (Ctrl-C).  A failure prints one "error: ..." line and an
 interrupt one "interrupted" line on stderr, without a traceback.
 """
@@ -221,6 +222,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        threads = getattr(args, "threads", None)
+        if threads is not None and threads < 1:
+            raise ValueError(f"thread count must be >= 1, got {threads}")
         return args.func(args)
     except (coords.CoordinateError, render.RenderError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

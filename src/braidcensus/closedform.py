@@ -172,20 +172,13 @@ def series(label: str, kmax: int) -> SeriesTable:
     """Coefficients 0..kmax of one of the four closed-form series."""
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    if label == "G2":
-        coeffs = [1] + [2] * kmax
-    elif label == "G3":
-        coeffs = _g3_series(kmax)
-    elif label == "B2":
-        # z (1 + z^2) / (1 - z^2): odd coefficients 1, 2, 2, ...
-        g = [1] + [2] * kmax
-        coeffs = _reindex_b(g, n=2, kmax=kmax)
-    elif label == "B3":
-        g = _g3_series(kmax)
-        coeffs = _reindex_b(g, n=3, kmax=kmax)
-    else:
+    if label not in SERIES_LABELS:
         raise ValueError(f"unknown series label {label!r}; want one of {SERIES_LABELS}")
-    return SeriesTable(label=label, coefficients=tuple(coeffs[: kmax + 1]))
+    family, n = label[0], int(label[1])
+    coeffs = [g2(k) for k in range(kmax + 1)] if n == 2 else _g3_series(kmax)
+    if family == "B":
+        coeffs = _reindex_b(coeffs, n=n, kmax=kmax)
+    return SeriesTable(label=label, coefficients=tuple(coeffs))
 
 
 def _g3_series(kmax: int) -> list[int]:

@@ -10,10 +10,12 @@ shift u -> u - 1.  Cyclicity has gcd criteria:
     TCut(n, a, b, c)   cyclic  iff  gcd(c - 1, b + 1) == 1
 
 with gcd taken on absolute values and gcd(0, x) = |x| (math.gcd's
-convention).  Orbit counting by explicit traversal serves as the oracle
-for both criteria.  b3_actual checks its tuple with coords.validate, the
-one implementation of the admissibility rule.  Everything here is pure and
-thread-safe.
+convention).  Each criterion is stated once, in is_cyclic_translation and
+is_cyclic_translated_cut; theta_is_cyclic applies them to theta_spec, the
+one description of the 3-strand orbit map.  Orbit counting by explicit
+traversal serves as the oracle for both criteria.  b3_actual checks its
+tuple with coords.validate, the one implementation of the admissibility
+rule.  Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -107,8 +109,7 @@ def orbit_count_of(perm: list[int]) -> int:
 
 def is_cyclic_translation(n: int, a: int) -> bool:
     """gcd criterion for T(n, a) being a single cycle."""
-    if not 0 <= a <= n:
-        raise ValueError(f"need 0 <= a <= n, got a={a}, n={n}")
+    Translation(n, a)  # range checks
     return math.gcd(a, n) == 1
 
 
@@ -124,7 +125,7 @@ class B3Regime:
 
     m = l - k >= 1; a2 ranges over 0..2k+1 and a3 over {0, 1}.  The
     half-offset a2/2 enters the cut parameters through its floor and
-    ceiling, so it is kept as an integer pair.
+    ceiling, which theta_spec takes as integers.
     """
 
     k: int
@@ -144,14 +145,6 @@ class B3Regime:
     def m(self) -> int:
         return self.ell - self.k
 
-    @property
-    def alpha_floor(self) -> int:
-        return self.a2 // 2
-
-    @property
-    def alpha_ceil(self) -> int:
-        return (self.a2 + 1) // 2
-
 
 def theta_spec(r: B3Regime) -> PermSpec | None:
     """The orbit map of the regime as a permutation spec.
@@ -166,8 +159,8 @@ def theta_spec(r: B3Regime) -> PermSpec | None:
     if r.a3 == 1:
         return None
     if r.a2 <= k + 1:
-        return TranslatedCut(n, r.alpha_ceil, m, k + 1 - r.a2)
-    return TranslatedCut(n, k + 1 - r.alpha_floor, r.a2 - k - 1, m)
+        return TranslatedCut(n, (r.a2 + 1) // 2, m, k + 1 - r.a2)
+    return TranslatedCut(n, k + 1 - r.a2 // 2, r.a2 - k - 1, m)
 
 
 def theta(r: B3Regime) -> list[int] | None:
@@ -178,16 +171,12 @@ def theta(r: B3Regime) -> list[int] | None:
 
 def theta_is_cyclic(r: B3Regime) -> bool:
     """Single-cycle test via the gcd criteria; never materialises the map."""
-    k, m = r.k, r.m
-    if r.a2 == 0:
-        if r.a3 == 0:
-            return math.gcd(k, m + 1) == 1
-        return math.gcd(k + 1, m) == 1
-    if r.a3 == 1:
+    spec = theta_spec(r)
+    if spec is None:
         return False
-    if r.a2 <= k + 1:
-        return math.gcd(k - r.a2, m + 1) == 1
-    return math.gcd(r.a2 - k, m - 1) == 1
+    if isinstance(spec, Translation):
+        return is_cyclic_translation(spec.n, spec.a)
+    return is_cyclic_translated_cut(spec.n, spec.a, spec.b, spec.c)
 
 
 def b3_actual(k: int, ell: int, a1: int, a2: int, a3: int) -> bool:

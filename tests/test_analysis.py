@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from braidcensus import analysis
 from braidcensus.analysis import (
     BoundReport,
     bounds_table,
@@ -75,6 +76,13 @@ class TestWitness:
             c = witness_a_for_s(sv, verify=False)
             assert is_actual(c), str(c)
 
+    def test_disconnected_witness_is_caught(self, monkeypatch):
+        sv = SVector(n=3, s=(2, 1))
+        monkeypatch.setattr(analysis, "is_actual", lambda c: False)
+        with pytest.raises(AssertionError, match="disconnected"):
+            witness_a_for_s(sv)
+        assert witness_a_for_s(sv, verify=False).raw() == (0, 0, 2, 2, 1, 1, 0)
+
 
 class TestRatios:
     def test_three_strand_parity_limits(self):
@@ -127,6 +135,7 @@ def test_ratio_shift_uses_k_plus_n():
         pytest.param(lambda: lower_bound(2, -1), id="lower_bound-k-1"),
         pytest.param(lambda: ratio_series(4, 3, rho=0), id="ratio_series-rho0"),
         pytest.param(lambda: bounds_table(1, 3, with_census=True), id="bounds_table-n1"),
+        pytest.param(lambda: ratio_series(1, 3, threads=1), id="ratio_series-n1"),
     ],
 )
 def test_bad_arguments_raise_value_error(call):

@@ -214,6 +214,15 @@ class TestRatios:
         assert code == 2
         assert "closed forms" in err
 
+    def test_one_strand_fails_before_the_census(self, capsys, tmp_path):
+        cache = tmp_path / "F.jsonl"
+        code, out, err = run_capture(
+            capsys, ["ratios", "--n", "1", "--kmax", "3", "--cache", str(cache)]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: need n >= 2, got n=1\n"
+        assert not cache.exists()
+
 
 class TestCache:
     def test_show_and_merge(self, capsys, tmp_path):
@@ -275,6 +284,23 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, threads",
+        [
+            pytest.param(["count", "--n", "3", "--k", "2"], "0", id="count"),
+            pytest.param(["table", "--n", "3", "--kmax", "2"], "0", id="table"),
+            pytest.param(["bounds", "--n", "3", "--kmax", "2"], "0", id="bounds"),
+            pytest.param(["verify", "--suite", "cyclicity", "--kmax", "3"], "0", id="verify"),
+            pytest.param(
+                ["ratios", "--n", "3", "--kmax", "2", "--source", "closedform"], "-1", id="ratios"
+            ),
+        ],
+    )
+    def test_thread_count_below_one_is_usage_error(self, capsys, argv, threads):
+        code, out, err = run_capture(capsys, argv + ["--threads", threads])
+        assert (code, out) == (2, "")
+        assert err == f"error: thread count must be >= 1, got {threads}\n"
 
     def test_zero_residue_modulus_is_usage_error(self, capsys):
         code, out, err = run_capture(capsys, ["ratios", "--n", "4", "--kmax", "3", "--rho", "0"])

@@ -234,6 +234,7 @@ class TestCPair:
         pytest.param(lambda: TranslatedCut(0, 0, 0, 0), ValueError, id="cut-modulus"),
         pytest.param(lambda: TranslatedCut(3, -1, 0, 0), ValueError, id="cut-negative"),
         pytest.param(lambda: is_cyclic_translation(3, 4), ValueError, id="translation-a"),
+        pytest.param(lambda: is_cyclic_translation(0, 0), ValueError, id="translation-modulus-0"),
         pytest.param(lambda: c_pair(-1, 2), ValueError, id="c_pair"),
         # 3-strand tuples are checked by coords.validate
         pytest.param(lambda: b3_actual(-1, 2, 0, 0, 0), CoordinateError, id="b3_actual-k"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from braidcensus import analysis, census, closedform, coords, diagram, perms
-from braidcensus.verify import MAX_FAILURES, check_structure, check_symmetry, run_suite
+from braidcensus.verify import MAX_FAILURES, SUITES, check_structure, check_symmetry, run_suite
 
 
 def first_fuzz_tuples(seed, kmax, count):
@@ -28,6 +28,12 @@ def test_suite_stops_after_max_failures(monkeypatch):
         f"g(2,{k}) census={real(k)} closedform={real(k) + 1}" for k in (1, 3, 5, 7, 9)
     ]
     assert result["checked"] == 10  # k = 0 .. 9: the fifth failure ends the run
+
+
+def test_unknown_suite_names_the_available_ones():
+    with pytest.raises(ValueError, match="unknown suite 'nope'") as info:
+        run_suite("nope")
+    assert str(sorted(SUITES)) in str(info.value)
 
 
 def test_cyclicity_translations_obey_the_cap(monkeypatch):

@@ -21,6 +21,11 @@ every key that differs is printed with both values.  Probes:
                           and node(n, 1) of build_arc_graph on fuzzed tuples,
                           open and closed
   svg                     a digest of render_svg bytes on fuzzed tuples
+  closedforms             a digest of is_cyclic_translation for moduli 1..30,
+                          is_cyclic_translated_cut for moduli 1..12, theta_spec
+                          and theta_is_cyclic for 1 <= k < l <= 20, b3_actual
+                          for k, l <= 8 and every offset, and the series
+                          coefficients 0..60 of G2, G3, B2 and B3
   walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
                           of WALK_ROWS, each walked by census._worker (weight
                           1) in one process, so a checkout that shares zone
@@ -180,6 +185,35 @@ def _svg() -> dict:
     return {"svg": {"documents": len(docs), "digest": _digest(docs)}}
 
 
+def _closedforms() -> dict:
+    from braidcensus import closedform, coords, perms
+
+    values = [perms.is_cyclic_translation(n, a) for n in range(1, 31) for a in range(n + 1)]
+    values += [
+        perms.is_cyclic_translated_cut(n, a, b, c)
+        for n in range(1, 13)
+        for a in range(n + 1)
+        for b in range(n - a + 1)
+        for c in range(n - a - b + 1)
+    ]
+    for k in range(1, 20):
+        for ell in range(k + 1, 21):
+            for a2 in range(2 * k + 2):
+                for a3 in (0, 1):
+                    r = perms.B3Regime(k=k, ell=ell, a2=a2, a3=a3)
+                    values.append((perms.theta_spec(r), perms.theta_is_cyclic(r)))
+    values += [
+        perms.b3_actual(k, ell, a1, a2, a3)
+        for k in range(9)
+        for ell in range(9)
+        for a1 in range(coords.a_range_size(0, k))
+        for a2 in range(coords.a_range_size(k, ell))
+        for a3 in range(coords.a_range_size(ell, 0))
+    ]
+    values += [closedform.series(label, 60).coefficients for label in ("G2", "G3", "B2", "B3")]
+    return {"closedforms": {"values": len(values), "digest": _digest(values)}}
+
+
 def _walks() -> dict:
     from braidcensus import census, coords
 
@@ -262,7 +296,7 @@ def _cli_outputs() -> dict:
 
 def probe() -> None:
     results = _verify_outputs()
-    for part in (_cli_outputs, _faults, _nesting, _graphs, _svg, _walks, _tables):
+    for part in (_cli_outputs, _faults, _nesting, _graphs, _svg, _closedforms, _walks, _tables):
         results.update(part())
     print(json.dumps(results))
 
