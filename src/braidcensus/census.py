@@ -79,6 +79,7 @@ through the rename; worker processes never touch the file.
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import json
 import os
@@ -478,7 +479,9 @@ class CensusCache:
     a lookup hit skips recomputation entirely.  A final line without its
     newline that does not parse is what a process killed mid-append leaves
     behind: it is skipped with a warning on stderr and cut off by the next
-    add.  An unreadable line anywhere else is a hard error.
+    add.  An unreadable line anywhere else is a hard error.  A path in a
+    directory that does not exist raises FileNotFoundError on opening,
+    before any census runs, and no file is made.
 
     Several handles, in one process or many, may add to one file: add
     holds an exclusive lock around its append.  If the file is not the
@@ -500,6 +503,9 @@ class CensusCache:
                 _warn_torn(path, torn, "the next write removes it")
             elif not unterminated:
                 self._stamp = _stamp_of(st)
+        elif not os.path.exists(os.path.dirname(os.path.abspath(path))):
+            # fail now, not at the first add after a census has run
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
     def lookup(self, n: int, k: int) -> CensusRecord | None:
         row = self._rows.get((n, k))

@@ -18,8 +18,9 @@ antidiagonals, and the expansion g3(k) = sum_{i} gamma(k - 2i) with
                - 2 phi(i) [i>=3].
 
 All series arithmetic is exact integer arithmetic on truncated coefficient
-vectors; division by (1 - z^2) is a two-step prefix recurrence, never a
-float.  Python integers are unbounded, so no overflow handling is needed.
+lists: G3's numerator is read off term by term, and division by (1 - z^2)
+is a two-step prefix recurrence, never a float.  Python integers are
+unbounded, so no overflow handling is needed.
 
 A note on the constant term: the closed form for G3 above is stated with
 the + (1 - 3 z^2) / (1 - z^2) tail, which gives g3(0) = 1 (the trivial
@@ -133,37 +134,6 @@ class SeriesTable:
     def __getitem__(self, k: int) -> int:
         return self.coefficients[k]
 
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-
-def _mul_trunc(a: list[int], b: list[int], kmax: int) -> list[int]:
-    out = [0] * (kmax + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > kmax:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > kmax:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def _div_one_minus_z2(a: list[int], kmax: int) -> list[int]:
-    # c_k = a_k + c_{k-2}
-    out = [0] * (kmax + 1)
-    for i in range(kmax + 1):
-        ai = a[i] if i < len(a) else 0
-        out[i] = ai + (out[i - 2] if i >= 2 else 0)
-    return out
-
-
-def _shift_down(a: list[int], powers: int) -> list[int]:
-    # exact division by z**powers
-    if any(a[:powers]):
-        raise ValueError(f"series not divisible by z^{powers}")
-    return a[powers:]
-
 
 SERIES_LABELS = ("G2", "G3", "B2", "B3")
 
@@ -182,13 +152,16 @@ def series(label: str, kmax: int) -> SeriesTable:
 
 
 def _g3_series(kmax: int) -> list[int]:
-    f2 = list(f_half_totient(max(kmax + 2, 3)).coefficients)  # 2 f_m = phi(m), m >= 3
-    # head = 2 (1 + 2z - z^2) / (z^2 (1 - z^2)) * sum phi(n) z^n
-    head = _mul_trunc(f2, [2, 4, -2], kmax + 2)
-    head = _shift_down(head, 2)
-    head = _div_one_minus_z2(head, kmax)
-    tail = _div_one_minus_z2([1, 0, -3], kmax)
-    return [h + t for h, t in zip(head, tail)]
+    # G3(z) = (2 (1 + 2z - z^2) F(z) / z^2 + 1 - 3z^2) / (1 - z^2), F(z) = sum_{m>=3} phi(m) z^m
+    f = f_half_totient(max(kmax + 2, 3))  # f[m] = phi(m) for m >= 3, 0 below
+    tail = (1, 0, -3)
+    coeffs = [
+        2 * f[k + 2] + 4 * f[k + 1] - 2 * f[k] + (tail[k] if k < len(tail) else 0)
+        for k in range(kmax + 1)
+    ]
+    for k in range(2, kmax + 1):  # divide by 1 - z^2: c_k += c_{k-2}
+        coeffs[k] += coeffs[k - 2]
+    return coeffs
 
 
 def _reindex_b(g_coeffs: list[int], n: int, kmax: int) -> list[int]:

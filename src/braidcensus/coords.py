@@ -173,10 +173,6 @@ class SVector:
             if value < 0:
                 raise CoordinateError(f"negative entry {value} at position {pos}", pos)
 
-    @property
-    def k(self) -> int:
-        return sum(self.s)
-
     def full(self) -> tuple[int, ...]:
         """The padded vector (0, s_1, ..., s_{n-1}, 0)."""
         return (0,) + self.s + (0,)

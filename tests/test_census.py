@@ -490,6 +490,41 @@ class TestCacheWriters:
         assert not writer.is_alive()
         assert CensusCache(str(path)).lookup(2, 2) == record
 
+    def test_add_reopens_a_path_unlinked_while_it_waits(self, tmp_path, monkeypatch):
+        # a failed merge into a target it made unlinks the path under the lock
+        import fcntl
+        import threading
+        import time
+
+        from braidcensus import census
+
+        opened = []
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if mode == "a+":
+                opened.append(file)
+            return fh
+
+        monkeypatch.setattr(census, "open", counting_open, raising=False)
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.LINE, encoding="utf-8")
+        cache = CensusCache(str(path))
+        record = CensusRecord(n=2, k=2, g=2, mode="plain", elapsed_ms=0)
+        with open(path, "a", encoding="utf-8") as other:
+            fcntl.flock(other, fcntl.LOCK_EX)
+            writer = threading.Thread(target=cache.add, args=(record,))
+            writer.start()
+            deadline = time.monotonic() + 10
+            while not opened and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert opened == [str(path)] and writer.is_alive()  # holds the old file
+            path.unlink()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert opened == [str(path), str(path)]  # the retry opened a new file
+        assert path.read_text(encoding="utf-8") == record.to_json() + "\n"
+
     def test_handle_opened_before_a_merge_does_not_append_a_duplicate(self, tmp_path):
         target, source = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
         target.write_text("", encoding="utf-8")

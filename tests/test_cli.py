@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from braidcensus import analysis
+from braidcensus import analysis, census
 from braidcensus.cli import run
 from braidcensus.closedform import g3_totient
 
@@ -437,11 +440,48 @@ class TestFileErrors:
             capsys, ["table", "--n", "2", "--kmax", "1", "--threads", "1", "--cache", path]
         )
         assert (code, stdout) == (1, "")
-        assert err.splitlines()[-1].startswith("error: ")
-        assert "Traceback" not in err
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+    def test_count_cache_in_a_missing_directory_fails_before_the_census(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_census(*args, **kwargs):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(census, "_count_rows", no_census)
+        path = str(tmp_path / "missing" / "c.jsonl")
+        code, stdout, err = run_capture(
+            capsys, ["count", "--n", "5", "--k", "14", "--threads", "1", "--cache", path]
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+        assert not (tmp_path / "missing").exists()
 
     def test_non_integer_thread_variable_is_named(self, capsys, monkeypatch):
         monkeypatch.setenv("CENSUS_THREADS", "abc")
         code, _, err = run_capture(capsys, ["count", "--n", "3", "--k", "2"])
         assert code == 2
         assert err == "error: CENSUS_THREADS must be an integer >= 1, got 'abc'\n"
+
+
+class TestEntryPoint:
+    """python -m braidcensus reaches cli.main and exits with run's code."""
+
+    def run_module(self, *argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "braidcensus", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_count(self):
+        done = self.run_module("count", "--n", "2", "--k", "1", "--threads", "1")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["g"] == 2
+
+    def test_missing_arguments_are_usage_error(self):
+        assert self.run_module("count").returncode == 2

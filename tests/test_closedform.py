@@ -107,6 +107,15 @@ class TestSeries:
         assert b3[0] == 0
         assert all(b3[j] == 0 for j in range(1, 84, 2))
 
+    @pytest.mark.parametrize("kmax", range(6))
+    def test_short_g3_and_b3(self, kmax):
+        # kmax <= 2 is where F's lowest term z^3 and the -3z^2 tail meet the cut
+        g3 = series("G3", kmax).coefficients
+        assert g3 == tuple(g3_totient(k) for k in range(kmax + 1))
+        b3 = series("B3", 2 * kmax + 2).coefficients
+        assert b3[2::2] == g3
+        assert b3[0] == 0 and not any(b3[1::2])
+
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             series("G4", 5)

@@ -25,7 +25,7 @@ every key that differs is printed with both values.  Probes:
                           is_cyclic_translated_cut for moduli 1..12, theta_spec
                           and theta_is_cyclic for 1 <= k < l <= 20, b3_actual
                           for k, l <= 8 and every offset, and the series
-                          coefficients 0..60 of G2, G3, B2 and B3
+                          coefficients 0..400 of G2, G3, B2 and B3
   walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
                           of WALK_ROWS, each walked by census._worker (weight
                           1) in one process, so a checkout that shares zone
@@ -210,7 +210,7 @@ def _closedforms() -> dict:
         for a2 in range(coords.a_range_size(k, ell))
         for a3 in range(coords.a_range_size(ell, 0))
     ]
-    values += [closedform.series(label, 60).coefficients for label in ("G2", "G3", "B2", "B3")]
+    values += [closedform.series(label, 400).coefficients for label in ("G2", "G3", "B2", "B3")]
     return {"closedforms": {"values": len(values), "digest": _digest(values)}}
 
 
