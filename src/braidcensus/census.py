@@ -79,7 +79,6 @@ through the rename; worker processes never touch the file.
 
 from __future__ import annotations
 
-import errno
 import fcntl
 import json
 import os
@@ -479,9 +478,9 @@ class CensusCache:
     a lookup hit skips recomputation entirely.  A final line without its
     newline that does not parse is what a process killed mid-append leaves
     behind: it is skipped with a warning on stderr and cut off by the next
-    add.  An unreadable line anywhere else is a hard error.  A path in a
-    directory that does not exist raises FileNotFoundError on opening,
-    before any census runs, and no file is made.
+    add.  An unreadable line anywhere else is a hard error.  An absent file
+    in an existing directory is an empty cache; any other path open refuses
+    (a missing directory, a regular file on it) raises open's OSError at once.
 
     Several handles, in one process or many, may add to one file: add
     holds an exclusive lock around its append.  If the file is not the
@@ -497,15 +496,16 @@ class CensusCache:
         self._rows: _Rows = {}
         # the file as this handle last read or wrote it with a clean tail
         self._stamp: tuple[int, int, int] | None = None
-        if os.path.exists(path):
+        try:
             st, torn, unterminated = _read_rows(path, self._rows)
-            if torn is not None:
-                _warn_torn(path, torn, "the next write removes it")
-            elif not unterminated:
-                self._stamp = _stamp_of(st)
-        elif not os.path.exists(os.path.dirname(os.path.abspath(path))):
-            # fail now, not at the first add after a census has run
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        except FileNotFoundError:
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise  # fail now, not at the first add after a census has run
+            return
+        if torn is not None:
+            _warn_torn(path, torn, "the next write removes it")
+        elif not unterminated:
+            self._stamp = _stamp_of(st)
 
     def lookup(self, n: int, k: int) -> CensusRecord | None:
         row = self._rows.get((n, k))

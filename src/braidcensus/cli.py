@@ -4,9 +4,9 @@ Machine-readable results go to stdout (JSON by default, CSV on request);
 progress and errors go to stderr.  Exit codes: 0 success, 1 verification
 failure, data conflict, a worker process that died (its pool is broken) or
 a named file that cannot be read or written (an OSError, such as a missing
-directory, or a missing cache show file or cache merge source),
-2 usage error (bad flags, bad coordinate syntax, bad ranges, a --threads
-below 1),
+directory or a regular file on a --cache path, or a missing cache show file
+or cache merge source), 2 usage error (bad flags, bad coordinate syntax, bad
+ranges, a --threads below 1, a render canvas too large),
 130 interrupted (Ctrl-C).  A failure prints one "error: ..." line and an
 interrupt one "interrupted" line on stderr, without a traceback.
 """
@@ -226,7 +226,7 @@ def run(argv: list[str] | None = None) -> int:
         if threads is not None and threads < 1:
             raise ValueError(f"thread count must be >= 1, got {threads}")
         return args.func(args)
-    except (coords.CoordinateError, render.RenderError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (census.CacheConflictError, BrokenProcessPool, OSError) as exc:

@@ -35,17 +35,17 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
-    """Render one coordinate tuple as an SVG 1.1 document string."""
-    g = build_arc_graph(c, closed_by_above=closed)
-    n, s = g.n, g.s
-    max_points = max(2 * si + 1 for si in s) + (1 if closed else 0)
-    width = 2 * MARGIN + ZONE_WIDTH * n
+    """Render one coordinate tuple as an SVG 1.1 document string; a canvas
+    over MAX_CANVAS raises RenderError before any arc is built."""
+    max_points = max(2 * si + 1 for si in c.s) + (1 if closed else 0)
+    width = 2 * MARGIN + ZONE_WIDTH * c.n
     height = 2 * MARGIN + UNIT * (max_points + 1)
     if width > MAX_CANVAS or height > MAX_CANVAS:
         raise RenderError(
             f"canvas {width:.0f}x{height:.0f} exceeds the {MAX_CANVAS:.0f} limit; "
             "the tuple is too large to draw at this scale"
         )
+    g = build_arc_graph(c, closed_by_above=closed)
 
     def x_of(i: int) -> float:
         return MARGIN + ZONE_WIDTH * i
@@ -59,7 +59,7 @@ def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
 
     out = [_HEADER.format(w=_fmt(width), h=_fmt(height))]
     out.append(f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>\n')
-    for i in range(1, n):
+    for i in range(1, c.n):
         x = _fmt(x_of(i))
         out.append(
             f'<line x1="{x}" y1="{_fmt(MARGIN / 2)}" x2="{x}" '
@@ -102,7 +102,7 @@ def render_svg(c: VirtualCoordinates, closed: bool = False) -> str:
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="white" '
             'stroke="black" stroke-width="1.5"/>\n'
         )
-    for i in (0, n):
+    for i in (0, c.n):
         x, y = x_of(i), y_of(1)
         out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="black"/>\n')
     out.append("</svg>\n")

@@ -183,6 +183,21 @@ class TestCache:
         merged = CensusCache(a)
         assert merged.lookup(3, 2).g == g3_totient(2)
 
+    def test_a_path_open_refuses_raises_its_error(self, tmp_path):
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        with pytest.raises(NotADirectoryError):
+            CensusCache(str(tmp_path / "file" / "c.jsonl"))
+        with pytest.raises(FileNotFoundError):
+            CensusCache(str(tmp_path / "missing" / "c.jsonl"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_an_absent_file_is_an_empty_cache_until_the_first_add(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = CensusCache(str(path))
+        assert cache.records() == [] and not path.exists()
+        cache.add(CensusRecord(n=2, k=1, g=2, mode="plain", elapsed_ms=0))
+        assert [r.g for r in CensusCache(str(path)).records()] == [2]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_resume_partial_table(self, tmp_path, threads):
         path = str(tmp_path / "c.jsonl")

@@ -434,28 +434,55 @@ class TestFileErrors:
         assert (code, stdout) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_table_cache_in_a_missing_directory(self, capsys, tmp_path):
+    @staticmethod
+    def unopenable_cache(tmp_path, parent):
+        """A cache path under a missing directory or under a regular file,
+        and the error line opening it gives."""
+        if parent == "file":
+            (tmp_path / "file").write_bytes(b"not a directory\n")
+            path = str(tmp_path / "file" / "c.jsonl")
+            return path, f"error: [Errno 20] Not a directory: {path!r}\n"
         path = str(tmp_path / "missing" / "c.jsonl")
+        return path, f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+    @staticmethod
+    def assert_untouched(tmp_path, parent):
+        assert sorted(os.listdir(tmp_path)) == (["file"] if parent == "file" else [])
+        if parent == "file":
+            assert (tmp_path / "file").read_bytes() == b"not a directory\n"
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_table_cache_whose_parent_is_not_a_directory(self, capsys, tmp_path, parent):
+        path, error = self.unopenable_cache(tmp_path, parent)
         code, stdout, err = run_capture(
             capsys, ["table", "--n", "2", "--kmax", "1", "--threads", "1", "--cache", path]
         )
-        assert (code, stdout) == (1, "")
-        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+        assert (code, stdout, err) == (1, "", error)
+        self.assert_untouched(tmp_path, parent)
 
-    def test_count_cache_in_a_missing_directory_fails_before_the_census(
-        self, capsys, tmp_path, monkeypatch
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_count_cache_whose_parent_is_not_a_directory_fails_before_the_census(
+        self, capsys, tmp_path, monkeypatch, parent
     ):
         def no_census(*args, **kwargs):
             raise AssertionError("the census ran")
 
         monkeypatch.setattr(census, "_count_rows", no_census)
-        path = str(tmp_path / "missing" / "c.jsonl")
+        path, error = self.unopenable_cache(tmp_path, parent)
         code, stdout, err = run_capture(
             capsys, ["count", "--n", "5", "--k", "14", "--threads", "1", "--cache", path]
         )
-        assert (code, stdout) == (1, "")
-        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
-        assert not (tmp_path / "missing").exists()
+        assert (code, stdout, err) == (1, "", error)
+        self.assert_untouched(tmp_path, parent)
+
+    def test_render_of_an_oversized_canvas_makes_no_file(self, capsys, tmp_path):
+        out = tmp_path / "big.svg"
+        code, stdout, err = run_capture(
+            capsys, ["render", "--coords", "(0,0,497,0,0)", "--out", str(out)]
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: canvas ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_non_integer_thread_variable_is_named(self, capsys, monkeypatch):
         monkeypatch.setenv("CENSUS_THREADS", "abc")

@@ -1,5 +1,6 @@
 import pytest
 
+from braidcensus import render
 from braidcensus.coords import parse_coords, validate
 from braidcensus.render import MAX_CANVAS, RenderError, render_svg, write_svg
 
@@ -46,11 +47,28 @@ def test_closed_variant_adds_arcs():
     assert closed_text.count("<polyline ") == open_text.count("<polyline ") + 2
 
 
-def test_canvas_overflow_reported():
-    c = validate(2, (0, 0, 600, 1, 0))
-    with pytest.raises(RenderError) as err:
-        render_svg(c)
-    assert str(int(MAX_CANVAS)) in str(err.value)
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_canvas_overflow_reported(monkeypatch, closed):
+    def no_arcs(*args, **kwargs):
+        raise AssertionError("arcs were built")
+
+    # the canvas is judged from n and s alone, before any arc is built
+    monkeypatch.setattr(render, "build_arc_graph", no_arcs)
+    for c in (validate(2, (0, 0, 600, 1, 0)), validate(2, (0, 0, 200000, 0, 0))):
+        with pytest.raises(RenderError) as err:
+            render_svg(c, closed=closed)
+        assert str(int(MAX_CANVAS)) in str(err.value)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_canvas_limit_boundary(closed):
+    # height 2*40 + 16*(2s + 2 + closed) and width 2*40 + 72n stay within
+    # 16000 up to s = 496 and n = 221; one more is refused
+    render_svg(validate(2, (0, 0, 496, 0, 0)), closed=closed)
+    render_svg(validate(221, (0,) * 443), closed=closed)
+    for c in (validate(2, (0, 0, 497, 0, 0)), validate(222, (0,) * 445)):
+        with pytest.raises(RenderError):
+            render_svg(c, closed=closed)
 
 
 def test_write_svg(tmp_path):

@@ -10,8 +10,10 @@ every key that differs is printed with both values.  Probes:
                           stdout, at the default size and at the sizes
                           tests/test_cli.py runs
   cli:<command>           exit code and stdout of each CLI_COMMANDS entry,
-                          run in order with its cache file in a temporary
-                          directory and every elapsed_ms masked to 0
+                          and the last stderr line of one that exits
+                          non-zero, run in order in a temporary directory
+                          {tmp} holding the cache file and a regular file
+                          {tmp}/file, with {tmp} and every elapsed_ms masked
   fault:<name>            run_suite output with one function patched wrong
   nesting:real|swapped    zone_noninterleaving on fuzzed graphs, open and
                           closed, and on copies with the far ends of two
@@ -76,6 +78,10 @@ CLI_COMMANDS = [
     ("ratios-g3-kmax0", "ratios --n 3 --kmax 0 --source closedform"),
     ("ratios-g3-kmax1000", "ratios --n 3 --kmax 1000 --source closedform"),
     ("cache-show", "cache show --path {cache}"),
+    ("count-cache-under-file", "count --n 4 --k 3 --threads 1 --cache {tmp}/file/c.jsonl"),
+    ("table-cache-under-file", "table --n 3 --kmax 2 --threads 1 --cache {tmp}/file/c.jsonl"),
+    ("render-too-tall", "render --coords (0,0,497,0,0) --out {tmp}/big.svg"),
+    ("render-edge-closed", "render --coords (0,0,496,0,0) --closed --out {tmp}/edge.svg"),
 ]
 GRAPHS = 20_000  # tuples for the nesting and graph probes; each built open and closed
 SVGS = 1_000  # tuples for the svg probe; each is drawn open and closed
@@ -284,13 +290,18 @@ def _cli_outputs() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         cache = os.path.join(tmp, "cache.jsonl")
+        with open(os.path.join(tmp, "file"), "w", encoding="utf-8") as fh:
+            fh.write("not a directory\n")
         for name, command in CLI_COMMANDS:
-            argv = command.format(cache=cache).split()
+            argv = command.format(cache=cache, tmp=tmp).split()
             run = subprocess.run(
                 [sys.executable, "-m", "braidcensus", *argv], capture_output=True, text=True
             )
             stdout = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', run.stdout)
-            out[f"cli:{name}"] = [run.returncode, stdout]
+            out[f"cli:{name}"] = [run.returncode, stdout.replace(tmp, "{tmp}")]
+            if run.returncode != 0:
+                last = run.stderr.splitlines()[-1] if run.stderr else ""
+                out[f"cli:{name}"].append(last.replace(tmp, "{tmp}"))
     return out
 
 
