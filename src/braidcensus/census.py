@@ -41,14 +41,14 @@ time the walk looks it up.  Sharing them between s-vectors gives each
 s-vector exactly the counts it gets alone.  States are bytes while the
 line has fewer than 256 nodes and tuples beyond; next states are
 interned.  The memo shared by work units lives for one count_table or
-count_actual call: it is cleared when the call starts and when it ends,
-pool workers inherit it when they fork and drop it when they exit, and
-count_for_s_vector uses a fresh one.
+count_actual call: a fresh one is bound when the call starts and dropped
+when it ends, pool workers inherit it when they fork and drop it when they
+exit, and count_for_s_vector uses a fresh one.
 
-tuples_examined is the size of the tuple space the pass covers,
-count_a_tuples(sv), derived rather than tallied: every tuple is covered
-exactly once, either reaching L_n or dying with the first prefix of it
-whose arcs close a loop.
+tuples_examined is the size of the tuple space the pass covers, the
+product of the walked zones' offset counts (count_a_tuples(sv)), derived
+rather than tallied: every tuple is covered exactly once, either reaching
+L_n or dying with the first prefix of it whose arcs close a loop.
 
 Optional pruning halves the work twice, and is off by default:
   * s-vectors are enumerated up to reversal, doubling the count of
@@ -90,7 +90,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable
 
-from .coords import SVector, a_range_size, count_a_tuples, enumerate_s_vectors
+from .coords import SVector, a_range_size, enumerate_s_vectors
 from .diagram import zone_arc_pairs
 
 ENGINE_VERSION = "braidcensus-1"
@@ -202,10 +202,6 @@ class _Transitions(dict):
         super().__init__()
         self.states: dict[_State, _State] = {}
 
-    def clear(self) -> None:
-        super().clear()
-        self.states.clear()
-
     def __missing__(self, shape: tuple[int, int]) -> _Zone:
         zone = self[shape] = _Zone(*shape, self.states)
         return zone
@@ -213,12 +209,12 @@ class _Transitions(dict):
 
 # transitions shared by the s-vectors of one census call (see _count_rows);
 # every entry is exact for any s-vector, so calls that overlap in one
-# process, sharing or clearing it, still get exact counts
+# process, sharing it or replacing it, still get exact counts
 _MEMO = _Transitions()
 
 
-def _walk(sv: SVector, mirror: bool, memo: _Transitions) -> tuple[int, int]:
-    """(connected count, tuples examined) for one s-vector.
+def _walk(interior: tuple[int, ...], mirror: bool, memo: _Transitions) -> tuple[int, int]:
+    """(connected count, tuples examined) for the s-vector with this interior.
 
     A forward pass over line states (see the module docstring): each
     offset of a zone is applied once per state, weighted by the number of
@@ -232,13 +228,15 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions) -> tuple[int, int]:
     it is kept apart as central (None once it splits or dies), and a fully
     central tuple is its own mirror (weight 1).
     """
-    s = sv.full()
+    s = (0, *interior, 0)
+    tuples = 1
     # L_0's one node is node 0 itself; its state treats it as a path to a
     # separate node 0, a pendant end that closes no loop
     central: _State | None = b"\0" if mirror else None
     states: dict[_State, int] = {} if mirror else {b"\0": 1}  # {line state: prefixes}
     for shape in zip(s, s[1:]):
         zone = memo[shape]
+        tuples *= len(zone.pairs)
         following: dict[_State, int] = {}
         for line, c in states.items():
             for state in zone[line]:
@@ -252,7 +250,6 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions) -> tuple[int, int]:
                     following[state] = following.get(state, 0) + 1
             central = nexts[half] if len(nexts) % 2 else None
         states = following
-    tuples = count_a_tuples(sv)
     if mirror:  # a pair's representative counts twice, the central tuple once
         return 2 * sum(states.values()) + (central is not None), (tuples + 1) // 2
     return sum(states.values()), tuples
@@ -260,12 +257,12 @@ def _walk(sv: SVector, mirror: bool, memo: _Transitions) -> tuple[int, int]:
 
 def count_for_s_vector(sv: SVector) -> int:
     """Connected offset tuples over one s-vector, walked alone with a fresh memo."""
-    return _walk(sv, False, _Transitions())[0]
+    return _walk(sv.s, False, _Transitions())[0]
 
 
-def _worker(args: tuple[int, tuple[int, ...], str, int]) -> tuple[int, int]:
-    n, interior, mode, weight = args
-    actual, examined = _walk(SVector(n=n, s=interior), mode == MODE_PRUNED, _MEMO)
+def _worker(unit: tuple[tuple[int, ...], bool, int]) -> tuple[int, int]:
+    interior, mirror, weight = unit
+    actual, examined = _walk(interior, mirror, _MEMO)
     return actual * weight, examined
 
 
@@ -283,13 +280,12 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _work_units(n: int, k: int, mode: str) -> Iterable[tuple[int, tuple[int, ...], str, int]]:
-    prune = mode == MODE_PRUNED
+def _work_units(n: int, k: int, prune: bool) -> Iterable[tuple[tuple[int, ...], bool, int]]:
     for sv in enumerate_s_vectors(n, k):
         reverse = sv.s[::-1]
         if prune and sv.s > reverse:
             continue  # its reversal is enumerated instead
-        yield (n, sv.s, mode, 2 if prune and sv.s != reverse else 1)
+        yield (sv.s, prune, 2 if prune and sv.s != reverse else 1)
 
 
 ProgressFn = Callable[[int, int, tuple[int, ...]], None]
@@ -304,17 +300,18 @@ def _count_rows(
     progress: ProgressFn | None,
 ) -> list[CensusRecord]:
     """Census rows for n and each k, from one ordered map over their units."""
+    global _MEMO
     mode = MODE_PRUNED if prune else MODE_PLAIN
     workers = threads if threads is not None else default_threads()
     if workers < 1:
         raise ValueError(f"thread count must be >= 1, got {workers}")
     hits = {k: cache.lookup(n, k) if cache is not None else None for k in ks}
-    rows = {k: list(_work_units(n, k, mode)) for k, hit in hits.items() if hit is None}
+    rows = {k: list(_work_units(n, k, prune)) for k, hit in hits.items() if hit is None}
     widest = max(map(len, rows.values()), default=0)
     units = [unit for row in rows.values() for unit in row]
     pool = None
     records = []
-    _MEMO.clear()  # workers forked below inherit it as it is then
+    _MEMO = _Transitions()  # workers forked below inherit it as it is then
     try:
         if workers > 1 and widest > 1:
             pool = ProcessPoolExecutor(
@@ -340,7 +337,7 @@ def _count_rows(
                     total += part
                     examined += part_examined
                     if progress is not None:
-                        progress(done, len(row), unit[1])
+                        progress(done, len(row), unit[0])
                 elapsed_ms = int((time.perf_counter() - started) * 1000)
                 record = CensusRecord(n, k, total, mode, elapsed_ms, tuples_examined=examined)
                 if cache is not None:
@@ -350,7 +347,7 @@ def _count_rows(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        _MEMO.clear()
+        _MEMO = _Transitions()
     return records
 
 

@@ -278,6 +278,12 @@ class TestWalker:
                 virtual = sum(map(count_a_tuples, enumerate_s_vectors(n, k)))
                 assert plain.tuples_examined == virtual, (n, k)
                 assert plain.g == pruned.g, (n, k)
+                # one representative per mirror pair, over s-vectors up to reversal
+                assert pruned.tuples_examined == sum(
+                    (count_a_tuples(sv) + 1) // 2
+                    for sv in enumerate_s_vectors(n, k)
+                    if sv.s <= sv.s[::-1]
+                ), (n, k)
 
 
 @pytest.fixture()
@@ -415,14 +421,14 @@ class TestFrontierWalk:
 
         assert len(self.SMALL) == 210
         for sv in self.SMALL:
-            assert _walk(sv, False, _Transitions()) == (brute_count(sv), count_a_tuples(sv)), sv
+            assert _walk(sv.s, False, _Transitions()) == (brute_count(sv), count_a_tuples(sv)), sv
 
     def test_mirror_examines_one_tuple_per_mirror_pair(self):
         from braidcensus.census import _Transitions, _walk
         from braidcensus.coords import count_a_tuples
 
         for sv in self.SMALL:
-            g, examined = _walk(sv, True, _Transitions())
+            g, examined = _walk(sv.s, True, _Transitions())
             assert g == count_for_s_vector(sv), sv
             # the offset mirror is an involution with at most one fixed tuple
             assert examined == (count_a_tuples(sv) + 1) // 2, sv
@@ -776,8 +782,7 @@ class TestTransitionMemo:
             random.Random(2000).shuffle(units)
         memo = _Transitions()
         for n, s, mirror in units:
-            sv = SVector(n=n, s=s)
-            assert _walk(sv, mirror, memo) == _walk(sv, mirror, _Transitions()), (sv, mirror)
+            assert _walk(s, mirror, memo) == _walk(s, mirror, _Transitions()), (n, s, mirror)
         assert memo and memo.states
 
     def test_memo_is_dropped_when_the_table_returns(self):
@@ -803,4 +808,40 @@ class TestTransitionMemo:
     @pytest.mark.parametrize("prune", [False, True])
     def test_lines_longer_than_a_byte_can_number(self, prune):
         # L_1 or L_2 has up to 261 nodes here, past what a bytes state holds
-        assert count_actual(3, 130, threads=1, prune=prune).g == g3_totient(130)
+        from braidcensus.coords import count_a_tuples
+
+        record = count_actual(3, 130, threads=1, prune=prune)
+        assert record.g == g3_totient(130)
+        svs = [sv for sv in enumerate_s_vectors(3, 130) if not prune or sv.s <= sv.s[::-1]]
+        if prune:
+            assert record.tuples_examined == sum((count_a_tuples(sv) + 1) // 2 for sv in svs)
+        else:
+            assert record.tuples_examined == sum(map(count_a_tuples, svs))
+
+    def test_overlapping_calls_in_one_process_stay_exact(self):
+        # each call binds its own memo, and a call that overlaps it may
+        # replace that memo while it walks: every entry is exact for any
+        # s-vector, so both rows keep their serial results
+        import threading
+        import time
+
+        from braidcensus import census
+
+        grids = [(5, 8), (4, 12)]
+        serial = [count_table(n, kmax, threads=1) for n, kmax in grids]
+        results = {}
+
+        def run(n, kmax):
+            results[n, kmax] = count_table(
+                n, kmax, threads=1, progress=lambda *a: time.sleep(0)
+            )
+
+        threads = [threading.Thread(target=run, args=grid) for grid in grids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for grid, expected in zip(grids, serial):
+            rows = [(r.k, r.g, r.tuples_examined) for r in results[grid]]
+            assert rows == [(r.k, r.g, r.tuples_examined) for r in expected], grid
+        assert not census._MEMO and not census._MEMO.states

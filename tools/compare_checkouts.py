@@ -30,7 +30,9 @@ every key that differs is printed with both values.  Probes:
                           coefficients 0..400 of G2, G3, B2 and B3
   walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
                           of WALK_ROWS, each walked by census._worker (weight
-                          1) in one process, so a checkout that shares zone
+                          1, as an (interior, mirror, weight) unit or, where
+                          _worker refuses that, an (n, s, mode, weight) one)
+                          in one process, so a checkout that shares zone
                           transitions across s-vectors shares them across
                           the whole grid
   walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
@@ -223,10 +225,21 @@ def _closedforms() -> dict:
 def _walks() -> dict:
     from braidcensus import census, coords
 
+    try:
+        census._worker(((), False, 1))
+
+        def unit(n, s, mode):
+            return s, mode == census.MODE_PRUNED, 1
+
+    except ValueError:  # a checkout whose units still name n and the mode
+
+        def unit(n, s, mode):
+            return n, s, mode, 1
+
     out = {}
     for mode in (census.MODE_PLAIN, census.MODE_PRUNED):
         walks = [
-            (n, sv.s, *census._worker((n, sv.s, mode, 1)))
+            (n, sv.s, *census._worker(unit(n, sv.s, mode)))
             for n, kmax, kmin in WALK_ROWS
             for k in range(kmin, kmax + 1)
             for sv in coords.enumerate_s_vectors(n, k)
