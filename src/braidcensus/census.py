@@ -37,13 +37,18 @@ touch no other node.  So the transitions are memoised as
 {(s_{i-1}, s_i): {state: per offset, the state on L_i, or None where a
 loop closes}}: each zone shape's arcs are built once per call and
 process, in a local frame, and a state's transitions are made the first
-time the walk looks it up.  Sharing them between s-vectors gives each
-s-vector exactly the counts it gets alone.  States are bytes while the
-line has fewer than 256 nodes and tuples beyond; next states are
-interned.  The memo shared by work units lives for one count_table or
-count_actual call: a fresh one is bound when the call starts and dropped
-when it ends, pool workers inherit it when they fork and drop it when they
-exit, and count_for_s_vector uses a fresh one.
+time the walk looks it up.  The vertical mirror (coords.sym_v) reflects
+each line and maps offset a of a zone's R offsets to R - 1 - a, so a
+state whose mirror twin is already stored takes the twin's transitions,
+reversed and mirrored, in O(s) work; any other state is stepped,
+applying the a straight arcs that offsets a and above share once, not
+once per offset.  Sharing them between s-vectors gives each s-vector
+exactly the counts it gets alone.  States are bytes while the line has
+fewer than 256 nodes and tuples beyond; next states are interned.  The
+memo shared by work units lives for one count_table or count_actual
+call: a fresh one is bound when the call starts and dropped when it
+ends, pool workers inherit it when they fork and drop it when they exit,
+and count_for_s_vector uses a fresh one.
 
 tuples_examined is the size of the tuple space the pass covers, the
 product of the walked zones' offset counts (count_a_tuples(sv)), derived
@@ -59,7 +64,11 @@ Optional pruning halves the work twice, and is off by default:
     evaluated, and non-fixed pairs count twice; the one prefix with every
     offset central, still its own mirror, is carried outside the states.
 Pruned and plain mode must agree; that equality is enforced by tests, not
-assumed.  In pruned mode tuples_examined counts the representatives,
+assumed.  Since plain mode's memo rests on the mirror too, tests also
+check the symmetry directly: every stored transition equals a step
+through each offset's full arcs, every twin's entry is the mirrored
+reverse of its state's, and the straight arcs lead every offset's arcs.
+In pruned mode tuples_examined counts the representatives,
 (count_a_tuples(sv) + 1) // 2: a mirror pair has one, and the central
 tuple, present when every offset range is odd, is its own.
 
@@ -147,6 +156,19 @@ def _arc_table(bl: int, br: int, sl: int, sr: int) -> list[list[tuple[int, int]]
     return [zone_arc_pairs(bl, br, sl, sr, a) for a in range(a_range_size(sl, sr))]
 
 
+def _mirror(s: int) -> Callable[[_State], _State]:
+    """The vertical mirror of states on a line of 2s+1 nodes.
+
+    Position p goes to 2s - p, so a mate value m > 0 (position m - 1)
+    becomes 2s + 2 - m, and node 0's 0 stays.  An involution.
+    """
+    top = 2 * s + 2
+    if top <= 256:
+        table = bytes([0, *range(top - 1, 0, -1), *range(top, 256)])
+        return lambda state: state[::-1].translate(table)
+    return lambda state: tuple(m and top - m for m in reversed(state))
+
+
 class _Zone(dict):
     """The transitions of one zone shape (s_{i-1}, s_i): {state on L_{i-1}:
     the state on L_i per offset, None where an arc closes a loop}.
@@ -154,29 +176,62 @@ class _Zone(dict):
     The shape's arcs are built once, in a local frame: node 0, then L_i's
     nodes at 1 .. 2sr+1, then L_{i-1}'s.  A node on L_i then has its
     position plus one as its index, so the mates of L_i's nodes are the
-    next state as they stand.  Looking up a state not seen yet steps it
-    through every offset's arcs and stores the result.
+    next state as they stand.  Looking up a state not seen yet stores its
+    transitions.  The vertical mirror (coords.sym_v) maps offset a of the
+    R offsets to R - 1 - a and each line onto itself, so when the state's
+    mirror twin is already stored, its transitions are the twin's, reversed
+    and mirrored.  Otherwise the state is stepped: offset a's arcs start
+    with the same a straight arcs as every larger offset's, so straight
+    arc a is applied once to a running base, and each offset copies that
+    base and applies only its own remaining arcs.
     """
 
     def __init__(self, sl: int, sr: int, states: dict[_State, _State]) -> None:
         super().__init__()
         self.left = 2 * sr + 2
         self.intern = intern = states.setdefault
+        self.twin_in = _mirror(sl)
+        self.twin_out = _mirror(sr)
         # arc pairs are interned with the states, since the shapes share
         # them: count_table(4, 28) holds 103,055 arcs but 1,639 distinct
         # pairs, and a tuple per arc raised its peak memory by 7 MB
         self.pairs = [tuple(map(intern, arcs, arcs)) for arcs in _arc_table(self.left, 1, sl, sr)]
 
     def __missing__(self, line: _State) -> tuple[_State | None, ...]:
+        twin = self.twin_in(line)
+        if twin in self:  # never when line is its own twin: line is not stored yet
+            mirror, intern = self.twin_out, self.intern
+            out: list[_State | None] = []
+            for state in reversed(self[twin]):
+                if state is not None:
+                    state = mirror(state)
+                    state = intern(state, state)
+                out.append(state)
+        else:
+            out = self._step(line)
+        nexts = self[line] = tuple(out)
+        return nexts
+
+    def _step(self, line: _State) -> list[_State | None]:
+        """The state on L_i per offset, applying the arcs to line's mates."""
         left = self.left
         pack = bytes if left <= 256 else tuple
-        start = list(range(left))
-        start += [m and m + left - 1 for m in line]
-        start[0] = line.index(0) + left
+        base = list(range(left))
+        base += [m and m + left - 1 for m in line]
+        base[0] = line.index(0) + left
         out: list[_State | None] = []
-        for arcs in self.pairs:
-            mate = start.copy()
-            for u, v in arcs:
+        for a, arcs in enumerate(self.pairs):
+            if a:  # straight arc a, the last of the prefix that offsets a and above share
+                u, v = arcs[a - 1]
+                mu = base[u]
+                if mu == v:  # it closes a loop at this offset and every larger one
+                    out += [None] * (len(self.pairs) - a)
+                    break
+                mv = base[v]
+                base[mu] = mv
+                base[mv] = mu
+            mate = base.copy()
+            for u, v in arcs[a:]:
                 mu = mate[u]
                 if mu == v:
                     out.append(None)  # u and v end one path: this arc closes a loop
@@ -187,8 +242,7 @@ class _Zone(dict):
             else:
                 state = pack(mate[1:left])
                 out.append(self.intern(state, state))
-        nexts = self[line] = tuple(out)
-        return nexts
+        return out
 
 
 class _Transitions(dict):

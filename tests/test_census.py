@@ -845,3 +845,96 @@ class TestTransitionMemo:
             rows = [(r.k, r.g, r.tuples_examined) for r in results[grid]]
             assert rows == [(r.k, r.g, r.tuples_examined) for r in expected], grid
         assert not census._MEMO and not census._MEMO.states
+
+
+def full_arc_step(zone, line):
+    """The state on L_i per offset, applying every arc of each offset in turn."""
+    left = zone.left
+    pack = bytes if left <= 256 else tuple
+    start = list(range(left)) + [m and m + left - 1 for m in line]
+    start[0] = line.index(0) + left
+    out = []
+    for arcs in zone.pairs:
+        mate = start.copy()
+        for u, v in arcs:
+            mu = mate[u]
+            if mu == v:
+                out.append(None)
+                break
+            mv = mate[v]
+            mate[mu] = mv
+            mate[mv] = mu
+        else:
+            out.append(pack(mate[1:left]))
+    return tuple(out)
+
+
+def reflected(state):
+    """A line state seen in the vertical mirror: positions reversed, mates relabelled."""
+    top = len(state) + 1
+    return type(state)(m and top - m for m in reversed(state))
+
+
+class TestZoneTransitions:
+    """Every stored transition is exact, however the zone made it.
+
+    A zone derives a state's transitions from its mirror twin's, and steps
+    the others with the straight arcs the offsets share applied once.
+    Plain mode rests on that mirror too, so plain-vs-pruned agreement no
+    longer checks it alone: these tests check it directly.
+    """
+
+    GRID = [(4, 12), (5, 8), (6, 6)]
+
+    @pytest.fixture(scope="class")
+    def memo(self):
+        from braidcensus.census import _Transitions, _walk
+
+        interiors = [
+            sv.s
+            for n, kmax in self.GRID
+            for k in range(kmax + 1)
+            for sv in enumerate_s_vectors(n, k)
+        ]
+        memo = _Transitions()
+        # L_1 has 259 nodes in one and L_2 in the other: tuple states
+        for s in [*interiors, (1, 129), (129, 1)]:
+            for mirror in (False, True):
+                _walk(s, mirror, memo)
+        return memo
+
+    def test_every_entry_equals_a_full_arc_step(self, memo):
+        tuples = 0
+        for shape, zone in memo.items():
+            for line, nexts in zone.items():
+                assert nexts == full_arc_step(zone, line), (shape, line)
+                tuples += isinstance(line, tuple)
+        assert tuples > 0
+
+    def test_every_twin_entry_is_the_mirrored_reverse(self, memo):
+        for shape, zone in memo.items():
+            for line, nexts in dict(zone).items():
+                twin = zone.twin_in(line)
+                assert twin == reflected(line) and zone.twin_in(twin) == line, (shape, line)
+                assert twin in zone, (shape, line)
+                mirrored = []
+                for state in reversed(nexts):
+                    if state is not None:
+                        assert zone.twin_out(state) == reflected(state), (shape, state)
+                        assert zone.twin_out(zone.twin_out(state)) == state, (shape, state)
+                        state = reflected(state)
+                    mirrored.append(state)
+                assert zone[twin] == tuple(mirrored), (shape, line)
+
+    def test_straight_arcs_lead_every_offset(self):
+        # the zone applies straight arc a once for offsets a and above,
+        # which holds only while the arc rules put the straight arcs first
+        from braidcensus.coords import a_range_size
+        from braidcensus.diagram import zone_arc_pairs
+
+        for sl in range(7):
+            for sr in range(7):
+                bl, br = 2 * sr + 2, 1
+                top = zone_arc_pairs(bl, br, sl, sr, a_range_size(sl, sr) - 1)
+                for a in range(a_range_size(sl, sr)):
+                    assert zone_arc_pairs(bl, br, sl, sr, a)[:a] == top[:a], (sl, sr, a)

@@ -37,6 +37,12 @@ every key that differs is printed with both values.  Probes:
                           the whole grid
   walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
                           each counted alone by census.count_for_s_vector
+  memo                    a digest of every (shape, state, next states) in
+                          census._MEMO once the walk probe has filled it, with
+                          the entry count and the number of interned objects:
+                          however a checkout makes an entry (stepped through
+                          every arc, with a shared straight-arc prefix, or
+                          derived from its mirror twin), it must be the same
   table                   a digest of (k, g, mode, tuples examined) per record
                           and of every progress call of count_table over
                           TABLE_GRIDS, plain and pruned, on 1 and 2 workers,
@@ -263,6 +269,23 @@ def _walks() -> dict:
     return out
 
 
+def _memo() -> dict:
+    from braidcensus import census
+
+    entries = sorted(
+        (shape, repr(line), repr(nexts))
+        for shape, zone in census._MEMO.items()
+        for line, nexts in zone.items()
+    )
+    return {
+        "memo": {
+            "entries": len(entries),
+            "interned": len(census._MEMO.states),
+            "digest": _digest(entries),
+        }
+    }
+
+
 def _tables() -> dict:
     from braidcensus import census
 
@@ -320,7 +343,8 @@ def _cli_outputs() -> dict:
 
 def probe() -> None:
     results = _verify_outputs()
-    for part in (_cli_outputs, _faults, _nesting, _graphs, _svg, _closedforms, _walks, _tables):
+    parts = (_cli_outputs, _faults, _nesting, _graphs, _svg, _closedforms, _walks, _memo, _tables)
+    for part in parts:
         results.update(part())
     print(json.dumps(results))
 
