@@ -37,13 +37,18 @@ touch no other node.  So the transitions are memoised as
 {(s_{i-1}, s_i): {state: per offset, the state on L_i, or None where a
 loop closes}}: each zone shape's arcs are built once per call and
 process, in a local frame, and a state's transitions are made the first
-time the walk looks it up.  The vertical mirror (coords.sym_v) reflects
-each line and maps offset a of a zone's R offsets to R - 1 - a, so a
-state whose mirror twin is already stored takes the twin's transitions,
-reversed and mirrored, in O(s) work; any other state is stepped,
-applying the a straight arcs that offsets a and above share once, not
-once per offset.  Sharing them between s-vectors gives each s-vector
-exactly the counts it gets alone.  States are bytes while the line has
+time the walk looks it up, applying the a straight arcs that offsets a
+and above share once, not once per offset.  Sharing them between
+s-vectors gives each s-vector exactly the counts it gets alone.
+
+The walk runs on line states up to the vertical mirror (coords.sym_v),
+which reflects each line and maps offset a of a zone's R offsets to
+R - 1 - a.  So a state's mirror twin steps, offset for offset in reverse,
+to the twins of the state's next states.  Every next state is stored as
+the lesser of itself and its twin, and the walk keeps one count for each
+such pair: both twins send their prefixes to the same canonical states,
+and the final sum is the plain count.  The quotient roughly halves the
+states the walk and the memo hold.  States are bytes while the line has
 fewer than 256 nodes and tuples beyond; next states are interned.  The
 memo shared by work units lives for one count_table or count_actual
 call: a fresh one is bound when the call starts and dropped when it
@@ -55,21 +60,14 @@ product of the walked zones' offset counts (count_a_tuples(sv)), derived
 rather than tallied: every tuple is covered exactly once, either reaching
 L_n or dying with the first prefix of it whose arcs close a loop.
 
-Optional pruning halves the work twice, and is off by default:
-  * s-vectors are enumerated up to reversal, doubling the count of
-    non-palindromic ones (tuple reversal is a connectivity-preserving
-    bijection between the two orientations);
-  * within an s-vector, offset tuples are paired with their range-mirrored
-    images (also connectivity-preserving), one representative per pair is
-    evaluated, and non-fixed pairs count twice; the one prefix with every
-    offset central, still its own mirror, is carried outside the states.
+Optional pruning, off by default, enumerates s-vectors up to reversal
+and counts each non-palindromic one twice (tuple reversal is a
+connectivity-preserving bijection between the two orientations).
 Pruned and plain mode must agree; that equality is enforced by tests, not
-assumed.  Since plain mode's memo rests on the mirror too, tests also
-check the symmetry directly: every stored transition equals a step
-through each offset's full arcs, every twin's entry is the mirrored
-reverse of its state's, and the straight arcs lead every offset's arcs.
-In pruned mode tuples_examined counts the representatives,
-(count_a_tuples(sv) + 1) // 2: a mirror pair has one, and the central
+assumed.  Both walk the mirror quotient, so tests also check each stored
+transition, and its twin's, against a step through every arc.  In pruned mode
+tuples_examined counts the offset tuples up to the mirror,
+(count_a_tuples(sv) + 1) // 2: a mirror pair counts once, and the central
 tuple, present when every offset range is odd, is its own.
 
 Counts are exact (Python integers are unbounded).  The optional cache is a
@@ -170,62 +168,45 @@ def _mirror(s: int) -> Callable[[_State], _State]:
 
 
 class _Zone(dict):
-    """The transitions of one zone shape (s_{i-1}, s_i): {state on L_{i-1}:
-    the state on L_i per offset, None where an arc closes a loop}.
+    """The transitions of one zone shape (s_{i-1}, s_i) on canonical line
+    states: {state on L_{i-1}: per offset, the canonical state on L_i, or
+    None where an arc closes a loop}.
 
     The shape's arcs are built once, in a local frame: node 0, then L_i's
     nodes at 1 .. 2sr+1, then L_{i-1}'s.  A node on L_i then has its
     position plus one as its index, so the mates of L_i's nodes are the
-    next state as they stand.  Looking up a state not seen yet stores its
-    transitions.  The vertical mirror (coords.sym_v) maps offset a of the
-    R offsets to R - 1 - a and each line onto itself, so when the state's
-    mirror twin is already stored, its transitions are the twin's, reversed
-    and mirrored.  Otherwise the state is stepped: offset a's arcs start
-    with the same a straight arcs as every larger offset's, so straight
-    arc a is applied once to a running base, and each offset copies that
-    base and applies only its own remaining arcs.
+    next state as they stand.  Looking up a state not seen yet steps it and
+    stores its transitions: offset a's arcs start with the same a straight
+    arcs as every larger offset's, so straight arc a is applied once to a
+    running base, and each offset copies that base and applies only its
+    own remaining arcs.  Each next state is stored as the lesser of itself
+    and its vertical mirror twin (coords.sym_v), so a walk that starts on
+    a canonical state meets only canonical ones.
     """
 
     def __init__(self, sl: int, sr: int, states: dict[_State, _State]) -> None:
         super().__init__()
         self.left = 2 * sr + 2
         self.intern = intern = states.setdefault
-        self.twin_in = _mirror(sl)
-        self.twin_out = _mirror(sr)
+        self.twin = _mirror(sr)
         # arc pairs are interned with the states, since the shapes share
         # them: count_table(4, 28) holds 103,055 arcs but 1,639 distinct
         # pairs, and a tuple per arc raised its peak memory by 7 MB
         self.pairs = [tuple(map(intern, arcs, arcs)) for arcs in _arc_table(self.left, 1, sl, sr)]
 
     def __missing__(self, line: _State) -> tuple[_State | None, ...]:
-        twin = self.twin_in(line)
-        if twin in self:  # never when line is its own twin: line is not stored yet
-            mirror, intern = self.twin_out, self.intern
-            out: list[_State | None] = []
-            for state in reversed(self[twin]):
-                if state is not None:
-                    state = mirror(state)
-                    state = intern(state, state)
-                out.append(state)
-        else:
-            out = self._step(line)
-        nexts = self[line] = tuple(out)
-        return nexts
-
-    def _step(self, line: _State) -> list[_State | None]:
-        """The state on L_i per offset, applying the arcs to line's mates."""
-        left = self.left
+        left, pairs, twin = self.left, self.pairs, self.twin
         pack = bytes if left <= 256 else tuple
         base = list(range(left))
         base += [m and m + left - 1 for m in line]
         base[0] = line.index(0) + left
         out: list[_State | None] = []
-        for a, arcs in enumerate(self.pairs):
+        for a, arcs in enumerate(pairs):
             if a:  # straight arc a, the last of the prefix that offsets a and above share
                 u, v = arcs[a - 1]
                 mu = base[u]
                 if mu == v:  # it closes a loop at this offset and every larger one
-                    out += [None] * (len(self.pairs) - a)
+                    out += [None] * (len(pairs) - a)
                     break
                 mv = base[v]
                 base[mu] = mv
@@ -241,8 +222,10 @@ class _Zone(dict):
                 mate[mv] = mu
             else:
                 state = pack(mate[1:left])
+                state = min(state, twin(state))
                 out.append(self.intern(state, state))
-        return out
+        nexts = self[line] = tuple(out)
+        return nexts
 
 
 class _Transitions(dict):
@@ -267,27 +250,19 @@ class _Transitions(dict):
 _MEMO = _Transitions()
 
 
-def _walk(interior: tuple[int, ...], mirror: bool, memo: _Transitions) -> tuple[int, int]:
+def _walk(interior: tuple[int, ...], memo: _Transitions) -> tuple[int, int]:
     """(connected count, tuples examined) for the s-vector with this interior.
 
-    A forward pass over line states (see the module docstring): each
-    offset of a zone is applied once per state, weighted by the number of
-    prefixes that reach the state, and the transitions come from memo.  A
-    transition that closes a loop is dead.  With mirror, one offset tuple
-    per mirror pair is evaluated: a_i maps to (range_i - 1) - a_i, and the
-    comparison with the mirror is decided at the first position where
-    2 a_i != range_i - 1.  Smaller means this tuple represents a pair
-    (weight 2), larger means its mirror is counted instead (skip the
-    subtree).  Only the prefix with every offset central is undecided:
-    it is kept apart as central (None once it splits or dies), and a fully
-    central tuple is its own mirror (weight 1).
+    A forward pass over canonical line states (see the module docstring):
+    each offset of a zone is applied once per state, weighted by the number
+    of prefixes that reach the state or its mirror twin, and the
+    transitions come from memo.  A transition that closes a loop is dead.
     """
     s = (0, *interior, 0)
     tuples = 1
     # L_0's one node is node 0 itself; its state treats it as a path to a
-    # separate node 0, a pendant end that closes no loop
-    central: _State | None = b"\0" if mirror else None
-    states: dict[_State, int] = {} if mirror else {b"\0": 1}  # {line state: prefixes}
+    # separate node 0, a pendant end that closes no loop, and is its own twin
+    states: dict[_State, int] = {b"\0": 1}  # {canonical line state: prefixes}
     for shape in zip(s, s[1:]):
         zone = memo[shape]
         tuples *= len(zone.pairs)
@@ -296,28 +271,24 @@ def _walk(interior: tuple[int, ...], mirror: bool, memo: _Transitions) -> tuple[
             for state in zone[line]:
                 if state is not None:
                     following[state] = following.get(state, 0) + c
-        if central is not None:
-            nexts = zone[central]
-            half = len(nexts) // 2
-            for state in nexts[:half]:  # a larger offset's mirror counts it
-                if state is not None:
-                    following[state] = following.get(state, 0) + 1
-            central = nexts[half] if len(nexts) % 2 else None
         states = following
-    if mirror:  # a pair's representative counts twice, the central tuple once
-        return 2 * sum(states.values()) + (central is not None), (tuples + 1) // 2
     return sum(states.values()), tuples
 
 
 def count_for_s_vector(sv: SVector) -> int:
     """Connected offset tuples over one s-vector, walked alone with a fresh memo."""
-    return _walk(sv.s, False, _Transitions())[0]
+    return _walk(sv.s, _Transitions())[0]
 
 
 def _worker(unit: tuple[tuple[int, ...], bool, int]) -> tuple[int, int]:
+    """(weighted count, tuples examined) of one work unit.
+
+    A mirror unit, one of a pruned census, reports the offset tuples up to
+    the mirror as examined, (count_a_tuples(sv) + 1) // 2.
+    """
     interior, mirror, weight = unit
-    actual, examined = _walk(interior, mirror, _MEMO)
-    return actual * weight, examined
+    actual, examined = _walk(interior, _MEMO)
+    return actual * weight, (examined + 1) // 2 if mirror else examined
 
 
 def default_threads() -> int:

@@ -29,20 +29,18 @@ every key that differs is printed with both values.  Probes:
                           for k, l <= 8 and every offset, and the series
                           coefficients 0..400 of G2, G3, B2 and B3
   walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
-                          of WALK_ROWS, each walked by census._worker (weight
-                          1, as an (interior, mirror, weight) unit or, where
-                          _worker refuses that, an (n, s, mode, weight) one)
-                          in one process, so a checkout that shares zone
-                          transitions across s-vectors shares them across
-                          the whole grid
+                          of WALK_ROWS, each walked by census._worker as an
+                          (interior, mirror, weight 1) unit in one process,
+                          so a checkout that shares zone transitions across
+                          s-vectors shares them across the whole grid
   walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
                           each counted alone by census.count_for_s_vector
   memo                    a digest of every (shape, state, next states) in
                           census._MEMO once the walk probe has filled it, with
-                          the entry count and the number of interned objects:
-                          however a checkout makes an entry (stepped through
-                          every arc, with a shared straight-arc prefix, or
-                          derived from its mirror twin), it must be the same
+                          the entry count and the number of interned objects;
+                          it differs between a checkout whose entries hold
+                          canonical line states (the lesser of each state and
+                          its mirror twin) and one that stores both twins
   table                   a digest of (k, g, mode, tuples examined) per record
                           and of every progress call of count_table over
                           TABLE_GRIDS, plain and pruned, on 1 and 2 workers,
@@ -231,21 +229,10 @@ def _closedforms() -> dict:
 def _walks() -> dict:
     from braidcensus import census, coords
 
-    try:
-        census._worker(((), False, 1))
-
-        def unit(n, s, mode):
-            return s, mode == census.MODE_PRUNED, 1
-
-    except ValueError:  # a checkout whose units still name n and the mode
-
-        def unit(n, s, mode):
-            return n, s, mode, 1
-
     out = {}
     for mode in (census.MODE_PLAIN, census.MODE_PRUNED):
         walks = [
-            (n, sv.s, *census._worker(unit(n, sv.s, mode)))
+            (n, sv.s, *census._worker((sv.s, mode == census.MODE_PRUNED, 1)))
             for n, kmax, kmin in WALK_ROWS
             for k in range(kmin, kmax + 1)
             for sv in coords.enumerate_s_vectors(n, k)
