@@ -17,9 +17,12 @@ height a_i + 1 if s_{i-1} = s_i.
 
 Counting connected components of this graph counts the curves of the
 diagram; the tuple belongs to a braid exactly when there is one component.
-"Closing by above" joins c(0,1) to c(n,1) by a path over the top of the
-picture, which makes every node degree 2 without changing the component
-count.
+is_actual counts them with one union-find straight over the zone_arc_pairs
+of every zone, without building labelled arcs.  "Closing by above" joins
+c(0,1) to c(n,1) by a path over the top of the picture, which makes every
+node degree 2 without changing the component count.  close_by_above
+extends an open graph to the closed one: the same arcs, punctures and node
+places, then the n closure arcs and their nodes.
 
 Graph construction and queries are pure per input; a Partition instance is
 single-owner mutable state and must not be shared across threads.
@@ -27,9 +30,9 @@ single-owner mutable state and must not be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .coords import VirtualCoordinates
 
@@ -70,13 +73,23 @@ class Partition:
         return x
 
     def union(self, x: int, y: int) -> bool:
-        rx = self.find(x)
-        ry = self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        self.count -= 1
-        return True
+        count = self.count
+        return self.union_all(((x, y),)) < count
+
+    def union_all(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """Join the classes of each (x, y) pair; returns the class count."""
+        parent = self.parent
+        count = self.count
+        for x, y in pairs:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[y] = x
+                count -= 1
+        self.count = count
+        return count
 
 
 @dataclass
@@ -104,13 +117,9 @@ class ArcGraph:
 
     @cached_property
     def places(self) -> tuple[tuple[int, int], ...]:
-        """(line, 1-based position from the bottom) of each node; the closure
-        node of line i sits at (i, 2*s_i + 2), above all its regular points."""
-        bases = line_bases(self.s)
-        places = [(i, j) for i in range(self.n + 1) for j in range(1, bases[i + 1] - bases[i] + 1)]
-        if self.closed:
-            places += [(i, 2 * self.s[i] + 2) for i in range(1, self.n)]
-        return tuple(places)
+        """(line, 1-based position from the bottom) of each node."""
+        places = tuple((i, j) for i, si in enumerate(self.s) for j in range(1, 2 * si + 2))
+        return places + _closure_places(self.s) if self.closed else places
 
     def line_of(self, v: int) -> tuple[int, int]:
         """Inverse of node(), read from places."""
@@ -175,34 +184,47 @@ def build_arc_graph(
         puncture_arcs.append(len(arcs) + (b - 1 if sl != sr else ai))
         for idx, (u, v) in enumerate(zone_arc_pairs(bases[i - 1], bases[i], sl, sr, ai)):
             arcs.append(Arc(u, v, i, STRAIGHT if idx < ai else box if idx < b else CROSS))
-    if closed_by_above:
-        path = [0, *range(bases[-1], bases[-1] + n - 1), bases[n]]  # over the top
-        for i in range(1, n + 1):
-            arcs.append(Arc(path[i - 1], path[i], i, CLOSURE))
-    return ArcGraph(
-        n=n,
-        s=s,
-        a=a,
-        arcs=tuple(arcs),
-        puncture_arcs=tuple(puncture_arcs),
-        closed=closed_by_above,
-    )
+    g = ArcGraph(n=n, s=s, a=a, arcs=tuple(arcs), puncture_arcs=tuple(puncture_arcs), closed=False)
+    return close_by_above(g) if closed_by_above else g
+
+
+def _closure_places(s: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The closure node of line i sits at (i, 2*s_i + 2), above its regular points."""
+    return tuple((i, 2 * s[i] + 2) for i in range(1, len(s) - 1))
+
+
+def close_by_above(g: ArcGraph) -> ArcGraph:
+    """The open graph g closed over the top: its arcs, then the closure path.
+
+    The path runs from c(0, 1) through one new node above each interior
+    line to c(n, 1).  Punctures are g's, and places extend g's.
+    """
+    n, top = g.n, g.node_count
+    path = [0, *range(top, top + n - 1), g.node(n, 1)]
+    closure = tuple(Arc(path[i - 1], path[i], i, CLOSURE) for i in range(1, n + 1))
+    closed = replace(g, arcs=g.arcs + closure, closed=True)
+    closed.places = g.places + _closure_places(g.s)
+    return closed
 
 
 def component_count(g: ArcGraph) -> int:
     """Number of curves of the diagram (connected components of the graph)."""
-    part = Partition(g.node_count)
-    for arc in g.arcs:
-        part.union(arc.u, arc.v)
-    return part.count
+    return Partition(g.node_count).union_all((arc.u, arc.v) for arc in g.arcs)
 
 
 def is_actual(c: VirtualCoordinates) -> bool:
     """True when the tuple is the coordinate tuple of a braid.
 
-    Equivalent to the reconstructed diagram having a single curve.
+    That is, when the diagram has a single curve: one union-find over the
+    zone_arc_pairs of every zone, with no labelled arcs built, leaves one
+    component.
     """
-    return component_count(build_arc_graph(c)) == 1
+    s, a = c.s, c.a
+    bases = line_bases(s)
+    part = Partition(bases[-1])
+    for i in range(1, c.n + 1):
+        part.union_all(zone_arc_pairs(bases[i - 1], bases[i], s[i - 1], s[i], a[i - 1]))
+    return part.count == 1
 
 
 def tightness_check(g: ArcGraph) -> bool:
@@ -235,19 +257,21 @@ def zone_noninterleaving(g: ArcGraph) -> bool:
     parentheses.  Holds for every graph the construction produces.
     """
     place = g.places
-    zones: list[list[tuple[tuple[int, float], int]]] = [[] for _ in range(g.n + 1)]
-    for idx, arc in enumerate(g.arcs):
-        for v in (arc.u, arc.v):
-            line, j = place[v]
-            if arc.kind == CLOSURE and j == 1:
-                # a closure arc ends at position 1 only on an endpoint marker, which
-                # it meets half a step above the marker's regular arc
-                j += 0.5
-            zones[arc.zone].append(((0, j) if line == arc.zone - 1 else (1, -j), idx))
-    for endpoints in zones:
-        endpoints.sort()
+    m = len(g.arcs)
+    zones: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for idx, (u, v, zone, kind) in enumerate(g.arcs):
+        for w in (u, v):
+            line, j = place[w]
+            # twice the position, plus the half step by which a closure arc
+            # meets an endpoint marker (position 1) above the marker's
+            # regular arc; the right line is walked downwards
+            j = 2 * j + (kind == CLOSURE and j == 1)
+            zones[zone].append((j if line == zone - 1 else -j) * m + idx)
+    for keys in zones:
+        keys.sort()
         stack: list[int] = []
-        for _, idx in endpoints:
+        for key in keys:
+            idx = key % m
             if stack and stack[-1] == idx:
                 stack.pop()
             else:

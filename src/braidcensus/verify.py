@@ -139,7 +139,7 @@ def check_structure(c: coords.VirtualCoordinates) -> str | None:
         return "a minimal same-line arc misses its puncture"
     if not diagram.zone_noninterleaving(g):
         return "interleaving arcs inside one zone"
-    closed = diagram.build_arc_graph(c, closed_by_above=True)
+    closed = diagram.close_by_above(g)
     for v, d in enumerate(closed.degrees()):
         if d != 2:
             return f"closed graph: node {v} has degree {d}"

@@ -1,15 +1,18 @@
+import random
 from dataclasses import replace
 
 import pytest
 
-from braidcensus.coords import validate
+from braidcensus.coords import enumerate_a_tuples, enumerate_s_vectors, validate
 from braidcensus.diagram import (
+    CLOSURE,
     CROSS,
     LEFT_BOX,
     RIGHT_BOX,
     STRAIGHT,
     Partition,
     build_arc_graph,
+    close_by_above,
     component_count,
     is_actual,
     tightness_check,
@@ -80,6 +83,24 @@ class TestIsActual:
                     c = validate(2, (0, a1, k, a2, 0))
                     assert is_actual(c) == ((a1, a2) in ((0, 1), (1, 0)))
 
+    def test_agrees_with_the_labelled_graph(self):
+        # is_actual runs its union-find on the bare arc pairs; the labelled
+        # graph's component count is the definition it must agree with
+        admissible = [
+            c
+            for n in range(1, 5)
+            for k in range(5)
+            for sv in enumerate_s_vectors(n, k)
+            for c in enumerate_a_tuples(sv)
+        ]
+        fuzzed = list(fuzz_coordinates(random.Random(2023), 2000, nmax=8, kmax=20))
+        verdicts = set()
+        for c in admissible + fuzzed:
+            want = component_count(build_arc_graph(c)) == 1
+            assert is_actual(c) == want, c
+            verdicts.add(want)
+        assert len(admissible) == 680 and verdicts == {False, True}
+
 
 class TestStructure:
     def test_degrees_open(self, rng):
@@ -94,6 +115,24 @@ class TestStructure:
         for c in fuzz_coordinates(rng, 400):
             g = build_arc_graph(c, closed_by_above=True)
             assert all(d == 2 for d in g.degrees())
+
+    def test_closed_graph_extends_the_open_one(self, rng):
+        for c in fuzz_coordinates(rng, 400, nmax=8, kmax=12):
+            g = build_arc_graph(c)
+            closed = build_arc_graph(c, closed_by_above=True)
+            assert closed == close_by_above(g) and closed.closed and not g.closed
+            m = len(g.arcs)
+            assert closed.arcs[:m] == g.arcs
+            # the closure path: c(0,1), the closure node of each interior
+            # line in turn, then c(n,1), one arc per zone
+            path = [g.node(0, 1), *range(g.node_count, closed.node_count), g.node(c.n, 1)]
+            assert closed.arcs[m:] == tuple(
+                (path[i - 1], path[i], i, CLOSURE) for i in range(1, c.n + 1)
+            )
+            assert closed.puncture_arcs == g.puncture_arcs
+            assert closed.places[: g.node_count] == g.places
+            # a copy computes its places afresh, with the same result
+            assert replace(closed).places == closed.places
 
     def test_closing_preserves_component_count(self, rng):
         for c in fuzz_coordinates(rng, 400):
@@ -210,6 +249,15 @@ class TestPartition:
         assert p.count == 3
         assert p.find(1) == p.find(0)
         assert p.find(2) == p.find(3) != p.find(4)
+
+    def test_union_all_returns_the_class_count(self):
+        p = Partition(6)
+        assert p.union_all([(0, 1), (1, 2), (2, 0), (4, 5)]) == 3 == p.count
+        assert p.find(0) == p.find(1) == p.find(2) != p.find(3)
+        assert p.find(4) == p.find(5) != p.find(3)
+        assert p.union_all([]) == 3
+        assert p.union_all(iter([(3, 5), (2, 4)])) == 1 == p.count
+        assert not p.union(0, 5)
 
     def test_reset(self):
         p = Partition(4)

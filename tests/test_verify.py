@@ -154,10 +154,6 @@ REAL_BUILD = diagram.build_arc_graph
 ONE_STRAND = coords.validate(1, (0, 0, 0))
 
 
-def _open_graph_only(c, closed_by_above=False):
-    return REAL_BUILD(c)
-
-
 @pytest.mark.parametrize(
     "name, fake, message",
     [
@@ -167,7 +163,8 @@ def _open_graph_only(c, closed_by_above=False):
             "node 0 has degree 0, expected 1",
         ),
         ("tightness_check", lambda g: False, "a minimal same-line arc misses its puncture"),
-        ("build_arc_graph", _open_graph_only, "closed graph: node 0 has degree 1"),
+        # a closing that adds no closure arcs
+        ("close_by_above", lambda g: replace(g, closed=True), "closed graph: node 0 has degree 1"),
         ("component_count", lambda g: len(g.arcs), "closing by above changed the component count"),
         (
             "zone_noninterleaving",

@@ -22,6 +22,10 @@ every key that differs is printed with both values.  Probes:
                           node_count, line_of(v) of every node, node(0, 1)
                           and node(n, 1) of build_arc_graph on fuzzed tuples,
                           open and closed
+  actual                  a digest of is_actual on the graph probe's fuzzed
+                          tuples and on every admissible tuple (each
+                          enumerate_a_tuples stream) with n <= 4, k <= 3,
+                          with the tuple and connected counts
   svg                     a digest of render_svg bytes on fuzzed tuples
   closedforms             a digest of is_cyclic_translation for moduli 1..30,
                           is_cyclic_translated_cut for moduli 1..12, theta_spec
@@ -174,16 +178,28 @@ def _graphs() -> dict:
     from braidcensus import coords, diagram
 
     rng = random.Random(1913)
-    built = []
+    built, tuples = [], []
     for _ in range(GRAPHS):
         c = coords.random_coordinates(rng, rng.randint(1, 8), rng.randint(0, 12))
+        tuples.append(c)
         for closed in (False, True):
             g = diagram.build_arc_graph(c, closed_by_above=closed)
             places = [g.line_of(v) for v in range(g.node_count)]
             ends = (g.node(0, 1), g.node(c.n, 1))
             count = diagram.component_count(g)
             built.append((g.arcs, g.puncture_arcs, count, g.node_count, places, ends))
-    return {"graph": {"graphs": len(built), "digest": _digest(built)}}
+    tuples += [
+        c
+        for n in range(1, 5)
+        for k in range(4)
+        for sv in coords.enumerate_s_vectors(n, k)
+        for c in coords.enumerate_a_tuples(sv)
+    ]
+    actual = [diagram.is_actual(c) for c in tuples]
+    return {
+        "graph": {"graphs": len(built), "digest": _digest(built)},
+        "actual": {"tuples": len(actual), "connected": sum(actual), "digest": _digest(actual)},
+    }
 
 
 def _svg() -> dict:
