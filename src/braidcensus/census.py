@@ -203,14 +203,12 @@ class _Zone(dict):
         out: list[_State | None] = []
         for a, arcs in enumerate(pairs):
             if a:  # straight arc a, the last of the prefix that offsets a and above share
+                # it is the first arc at its L_i end v, so v is still its own
+                # mate: the arc never closes a loop, and base[v] is v
                 u, v = arcs[a - 1]
                 mu = base[u]
-                if mu == v:  # it closes a loop at this offset and every larger one
-                    out += [None] * (len(pairs) - a)
-                    break
-                mv = base[v]
-                base[mu] = mv
-                base[mv] = mu
+                base[mu] = v
+                base[v] = mu
             mate = base.copy()
             for u, v in arcs[a:]:
                 mu = mate[u]

@@ -31,7 +31,6 @@ single-owner mutable state and must not be shared across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .coords import VirtualCoordinates
@@ -98,14 +97,16 @@ class ArcGraph:
 
     Node indices are flat and numbered by line_bases: node (i, j) is
     line_bases(s)[i] + j - 1.  The closure nodes (one per interior line,
-    present only when closed) come after all line nodes.
+    present only when closed) come after all line nodes.  places holds
+    each node's (line, 1-based position from the bottom), by flat index;
+    a closure node sits at (i, 2*s_i + 2), above its line's regular points.
     """
 
     n: int
     s: tuple[int, ...]
-    a: tuple[int, ...]
     arcs: tuple[Arc, ...]
     puncture_arcs: tuple[int, ...]
+    places: tuple[tuple[int, int], ...]
     closed: bool
 
     def node(self, i: int, j: int) -> int:
@@ -113,13 +114,7 @@ class ArcGraph:
 
     @property
     def node_count(self) -> int:
-        return line_bases(self.s)[-1] + (self.n - 1 if self.closed else 0)
-
-    @cached_property
-    def places(self) -> tuple[tuple[int, int], ...]:
-        """(line, 1-based position from the bottom) of each node."""
-        places = tuple((i, j) for i, si in enumerate(self.s) for j in range(1, 2 * si + 2))
-        return places + _closure_places(self.s) if self.closed else places
+        return len(self.places)
 
     def line_of(self, v: int) -> tuple[int, int]:
         """Inverse of node(), read from places."""
@@ -184,13 +179,9 @@ def build_arc_graph(
         puncture_arcs.append(len(arcs) + (b - 1 if sl != sr else ai))
         for idx, (u, v) in enumerate(zone_arc_pairs(bases[i - 1], bases[i], sl, sr, ai)):
             arcs.append(Arc(u, v, i, STRAIGHT if idx < ai else box if idx < b else CROSS))
-    g = ArcGraph(n=n, s=s, a=a, arcs=tuple(arcs), puncture_arcs=tuple(puncture_arcs), closed=False)
+    places = tuple((i, j) for i, si in enumerate(s) for j in range(1, 2 * si + 2))
+    g = ArcGraph(n, s, tuple(arcs), tuple(puncture_arcs), places, closed=False)
     return close_by_above(g) if closed_by_above else g
-
-
-def _closure_places(s: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The closure node of line i sits at (i, 2*s_i + 2), above its regular points."""
-    return tuple((i, 2 * s[i] + 2) for i in range(1, len(s) - 1))
 
 
 def close_by_above(g: ArcGraph) -> ArcGraph:
@@ -202,9 +193,8 @@ def close_by_above(g: ArcGraph) -> ArcGraph:
     n, top = g.n, g.node_count
     path = [0, *range(top, top + n - 1), g.node(n, 1)]
     closure = tuple(Arc(path[i - 1], path[i], i, CLOSURE) for i in range(1, n + 1))
-    closed = replace(g, arcs=g.arcs + closure, closed=True)
-    closed.places = g.places + _closure_places(g.s)
-    return closed
+    tops = tuple((i, 2 * g.s[i] + 2) for i in range(1, n))
+    return replace(g, arcs=g.arcs + closure, places=g.places + tops, closed=True)
 
 
 def component_count(g: ArcGraph) -> int:

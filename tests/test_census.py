@@ -941,4 +941,9 @@ class TestZoneTransitions:
                 bl, br = 2 * sr + 2, 1
                 top = zone_arc_pairs(bl, br, sl, sr, a_range_size(sl, sr) - 1)
                 for a in range(a_range_size(sl, sr)):
-                    assert zone_arc_pairs(bl, br, sl, sr, a)[:a] == top[:a], (sl, sr, a)
+                    arcs = zone_arc_pairs(bl, br, sl, sr, a)
+                    assert arcs[:a] == top[:a], (sl, sr, a)
+                    # and each straight arc is the first arc at its L_i end,
+                    # so it never closes a loop
+                    for t, (_, v) in enumerate(arcs[:a]):
+                        assert all(v not in pair for pair in arcs[:t]), (sl, sr, a, t)

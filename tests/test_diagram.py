@@ -131,8 +131,9 @@ class TestStructure:
             )
             assert closed.puncture_arcs == g.puncture_arcs
             assert closed.places[: g.node_count] == g.places
-            # a copy computes its places afresh, with the same result
-            assert replace(closed).places == closed.places
+            assert (g.node_count, closed.node_count) == (len(g.places), len(closed.places))
+            # closing builds a new graph and leaves the open one as built
+            assert g == build_arc_graph(c)
 
     def test_closing_preserves_component_count(self, rng):
         for c in fuzz_coordinates(rng, 400):
