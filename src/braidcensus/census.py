@@ -2,13 +2,22 @@
 
 The count for fixed (n, k) splits over interior s-vectors, one work unit
 each.  A count_table or count_actual call lists the units of every row to
-compute and streams them, in order, through one map: inline, or over one
+compute and streams them, in order, through one map: inline, or over a
 process pool (worker processes: CPython threads would serialise on the
-interpreter lock) made only with more than one worker and a row of more
-than one unit, no wider than the widest row, fed in chunks sized by that
-row alone, and shut down before the call returns or raises.  Each row's
-results are summed, so counts do not depend on scheduling; its elapsed_ms
-is the time the caller waited for it after the previous row.
+interpreter lock) used only with more than one worker and a row of more
+than one unit, min(workers, widest row) wide, and fed in chunks sized by
+that row alone.  The process keeps one such pool: the first call that
+needs it forks it, later calls of the same width reuse it, and a call of
+another width shuts it down and forks one of its own width.  A call that
+raises cancels its pending chunks and shuts the pool down, so the next
+call forks a fresh one; at interpreter exit concurrent.futures joins the
+workers.  A forked child never uses its parent's pool, and a process that
+multiprocessing started shuts its pool down at the end of each call, since
+multiprocessing waits for that process's children before it exits.  One
+lock guards taking, replacing, submitting to and shutting down the pool,
+so threads may share it.  Each row's results are summed, so counts do not
+depend on scheduling; its elapsed_ms is the time the caller waited for it
+after the previous row.
 
 Within one s-vector the offsets are chosen zone by zone, left to right.
 Each zone's arcs at each offset are plain (u, v) pairs from
@@ -49,11 +58,14 @@ the lesser of itself and its twin, and the walk keeps one count for each
 such pair: both twins send their prefixes to the same canonical states,
 and the final sum is the plain count.  The quotient roughly halves the
 states the walk and the memo hold.  States are bytes while the line has
-fewer than 256 nodes and tuples beyond; next states are interned.  The
-memo shared by work units lives for one count_table or count_actual
-call: a fresh one is bound when the call starts and dropped when it
-ends, pool workers inherit it when they fork and drop it when they exit,
-and count_for_s_vector uses a fresh one.
+fewer than 256 nodes and tuples beyond; next states are interned.  In
+the calling process the memo shared by work units lives for one
+count_table or count_actual call: a fresh one is bound when the call
+starts and dropped when it ends.  A pool worker inherits the memo bound
+when it forks and keeps filling it for as long as its pool lives, across
+calls: every entry is exact for any s-vector, so counts stay exact, and
+the cost is the memory an idle worker holds.  count_for_s_vector uses a
+fresh memo.
 
 tuples_examined is the size of the tuple space the pass covers, the
 product of the walked zones' offset counts (count_a_tuples(sv)), derived
@@ -88,12 +100,15 @@ from __future__ import annotations
 
 import fcntl
 import json
+import multiprocessing
 import os
 import shutil
 import signal
 import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable
 
@@ -290,7 +305,9 @@ def _worker(unit: tuple[tuple[int, ...], bool, int]) -> tuple[int, int]:
 
 
 def default_threads() -> int:
-    """Worker count: CENSUS_THREADS when set, else the CPU count."""
+    """Worker count: CENSUS_THREADS when set, else the number of CPUs this
+    process may run on (its affinity mask where the platform has one, so a
+    taskset or cpuset limit is respected, else the CPU count)."""
     env = os.environ.get("CENSUS_THREADS")
     if env:
         try:
@@ -300,6 +317,8 @@ def default_threads() -> int:
         if value < 1:
             raise ValueError(f"CENSUS_THREADS must be an integer >= 1, got {env!r}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -312,6 +331,42 @@ def _work_units(n: int, k: int, prune: bool) -> Iterable[tuple[tuple[int, ...], 
 
 
 ProgressFn = Callable[[int, int, tuple[int, ...]], None]
+
+# the worker pool this process keeps for _count_rows, and (pid of the
+# process that made it, its width); taken, replaced, submitted to and shut
+# down only under _POOL_LOCK
+_pool: ProcessPoolExecutor | None = None
+_pool_key = (0, 0)
+_POOL_LOCK = threading.Lock()
+
+
+def _kept_pool(width: int) -> ProcessPoolExecutor:
+    """The kept pool, forked first when there is none or the kept one has
+    another width or was made by a parent process.  Hold _POOL_LOCK."""
+    global _pool, _pool_key
+    key = (os.getpid(), width)
+    if _pool is not None and _pool_key != key:
+        if _pool_key[0] == key[0]:  # a forked child cannot shut its parent's pool down
+            _pool.shutdown()
+        _pool = None
+    if _pool is None:
+        _pool = ProcessPoolExecutor(
+            max_workers=width,
+            # Ctrl-C reaches every process in the group; the caller
+            # handles it and shuts the pool down, so workers ignore it
+            initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
+        _pool_key = key
+    return _pool
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut pool down, and stop keeping it if it is kept.  Hold _POOL_LOCK."""
+    global _pool
+    if pool is _pool:
+        _pool = None
+    pool.shutdown()
 
 
 def _count_rows(
@@ -332,22 +387,26 @@ def _count_rows(
     rows = {k: list(_work_units(n, k, prune)) for k, hit in hits.items() if hit is None}
     widest = max(map(len, rows.values()), default=0)
     units = [unit for row in rows.values() for unit in row]
-    pool = None
+    pool = pooled = None
+    keep = False
     records = []
-    _MEMO = _Transitions()  # workers forked below inherit it as it is then
+    _MEMO = _Transitions()  # workers a pool forks below inherit it as it is then
     try:
         if workers > 1 and widest > 1:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, widest),
-                # Ctrl-C reaches every process in the group; the caller
-                # handles it and shuts the pool down, so workers ignore it
-                initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_IGN),
-            )
+            width = min(workers, widest)
             # sized by the widest row, not by all units: no chunk is coarser
             # than that row's would be alone, so neither Ctrl-C latency nor
             # the gap between progress reports grows with the table
-            results = pool.map(_worker, units, chunksize=max(1, widest // (8 * workers)))
+            chunksize = max(1, widest // (8 * workers))
+            with _POOL_LOCK:
+                pool = _kept_pool(width)
+                try:
+                    pooled = pool.map(_worker, units, chunksize=chunksize)
+                except BrokenProcessPool:  # a worker died while the pool was idle
+                    _drop_pool(pool)
+                    pool = _kept_pool(width)
+                    pooled = pool.map(_worker, units, chunksize=chunksize)
+            results = pooled
         else:
             results = map(_worker, units)
         started = time.perf_counter()
@@ -367,10 +426,17 @@ def _count_rows(
                     cache.add(record)
                 started = time.perf_counter()
             records.append(record)
+        # a process that multiprocessing started waits for its children
+        # before it exits, but nothing tells a kept pool's workers to stop
+        # there (interpreter exit does that in any other process)
+        keep = multiprocessing.parent_process() is None
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         _MEMO = _Transitions()
+        if pool is not None and not keep:  # raised, or must not keep it
+            if pooled is not None:
+                pooled.close()  # cancels this call's chunks that no worker has taken
+            with _POOL_LOCK:
+                _drop_pool(pool)
     return records
 
 

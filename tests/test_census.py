@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -221,6 +222,14 @@ def test_default_threads_env(monkeypatch):
     assert default_threads() >= 1
 
 
+def test_default_threads_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    from braidcensus.census import default_threads
+
+    monkeypatch.delenv("CENSUS_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_threads() == 1
+
+
 class TestWalker:
     GRID = [(4, 10), (5, 8), (6, 6)]
 
@@ -286,9 +295,20 @@ class TestWalker:
                 ), (n, k)
 
 
+def _drop_kept_pool():
+    from braidcensus import census
+
+    with census._POOL_LOCK:
+        if census._pool is not None:
+            census._drop_pool(census._pool)
+
+
 @pytest.fixture()
 def pool_events(monkeypatch):
-    """Every construction and shutdown of a census worker pool, in order."""
+    """Every construction and shutdown of a census worker pool, in order.
+
+    The test starts with no kept pool, and the pool it leaves is shut down.
+    """
     from concurrent.futures import ProcessPoolExecutor
 
     from braidcensus import census
@@ -304,15 +324,31 @@ def pool_events(monkeypatch):
             events.append(("shutdown",))
             super().shutdown(*args, **kwargs)
 
+    _drop_kept_pool()
     monkeypatch.setattr(census, "ProcessPoolExecutor", CountingPool)
-    return events
+    yield events
+    _drop_kept_pool()
+
+
+def _dying_worker(unit):
+    import multiprocessing
+
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("ran in the calling process, not in a pool")
+    os._exit(1)  # the worker process dies without a word
+
+
+def _count_in_child(queue):
+    queue.put(count_actual(4, 3, threads=2).g)
 
 
 class TestTablePool:
     def test_one_pool_for_a_multi_row_table(self, pool_events):
         records = count_table(4, 6, threads=2)
-        assert pool_events == [("made", 2), ("shutdown",)]
-        assert [r.g for r in records] == [r.g for r in count_table(4, 6, threads=1)]
+        again = count_table(4, 6, threads=2)
+        assert pool_events == [("made", 2)]
+        serial = [r.g for r in count_table(4, 6, threads=1)]
+        assert [r.g for r in records] == [r.g for r in again] == serial
 
     def test_no_pool_with_one_worker(self, pool_events):
         count_table(4, 6, threads=1)
@@ -330,16 +366,22 @@ class TestTablePool:
         assert pool_events == []
 
     def test_table_callers_fork_once_per_table(self, pool_events):
+        # the pool is forked once for all of these tables, not once each
         from braidcensus import analysis, verify
 
         analysis.bounds_table(4, 6, with_census=True, threads=2)
         analysis.ratio_series(4, 6, threads=2)
-        assert pool_events == [("made", 2), ("shutdown",)] * 2
-        del pool_events[:]
         # one plain and one pruned table for each n in 3..5; n <= 2 rows
         # are single s-vectors and need no pool
         assert verify.run_suite("prune-consistency", kmax=4, threads=2)["ok"]
-        assert pool_events == [("made", 2), ("shutdown",)] * 6
+        assert pool_events == [("made", 2)]
+
+    def test_a_call_of_another_width_replaces_the_pool(self, pool_events):
+        for threads in (2, 3, 2):
+            count_table(4, 6, threads=threads)
+        assert pool_events == [
+            ("made", 2), ("shutdown",), ("made", 3), ("shutdown",), ("made", 2)
+        ]
 
     def test_pool_is_shut_down_when_a_row_raises(self, pool_events):
         def progress(done, total, s):
@@ -349,6 +391,79 @@ class TestTablePool:
         with pytest.raises(RuntimeError):
             count_table(4, 6, threads=2, progress=progress)
         assert pool_events == [("made", 2), ("shutdown",)]
+        records = count_table(4, 6, threads=2)
+        assert pool_events == [("made", 2), ("shutdown",), ("made", 2)]
+        assert [r.g for r in records] == [r.g for r in count_table(4, 6, threads=1)]
+
+    def test_a_dead_worker_leaves_the_next_call_a_working_pool(self, pool_events, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from braidcensus import census
+        from braidcensus.coords import count_s_vectors
+
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "_worker", _dying_worker)
+            with pytest.raises(BrokenProcessPool):
+                count_actual(4, 3, threads=2)
+        assert count_actual(4, 3, threads=2).g == count_actual(4, 3, threads=1).g
+        assert pool_events == [("made", 2), ("shutdown",), ("made", 2)]
+
+    def test_a_pool_broken_while_idle_is_replaced(self, pool_events):
+        import signal
+
+        from braidcensus import census
+
+        want = count_actual(4, 3, threads=1).g
+        assert count_actual(4, 3, threads=2).g == want
+        pool = census._pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        pool._executor_manager_thread.join(timeout=30)  # it marks the pool broken
+        assert not pool._executor_manager_thread.is_alive()
+        assert count_actual(4, 3, threads=2).g == want
+        assert pool_events == [("made", 2), ("shutdown",), ("made", 2)]
+
+    def test_a_forked_multiprocessing_child_counts_and_exits(self, pool_events):
+        # the child inherits the parent's kept pool, which it cannot use, and
+        # multiprocessing waits for the child's own workers before it exits
+        import multiprocessing
+
+        want = count_actual(4, 3, threads=2).g
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_count_in_child, args=(queue,))
+        child.start()
+        got = queue.get(timeout=60)
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert got == want
+        assert pool_events == [("made", 2)]
+
+    def test_threads_share_the_pool_and_keep_their_serial_rows(self, pool_events):
+        import sys
+        import threading
+
+        grids = [(5, 8), (4, 12)]
+        serial = [count_table(n, kmax, threads=1) for n, kmax in grids]
+        results = {}
+
+        def run(n, kmax):
+            results[n, kmax] = count_table(n, kmax, threads=2)
+
+        threads = [threading.Thread(target=run, args=grid) for grid in grids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the pool code too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for grid, expected in zip(grids, serial):
+            rows = [(r.k, r.g, r.tuples_examined) for r in results[grid]]
+            assert rows == [(r.k, r.g, r.tuples_examined) for r in expected], grid
+        assert pool_events == [("made", 2)]
 
     @pytest.mark.parametrize("prune", [False, True])
     def test_progress_reports_every_row(self, prune):
@@ -368,7 +483,7 @@ class TestTablePool:
     def test_pruned_table_sizes_its_pool_by_its_widest_pruned_row(self, pool_events):
         # up to reversal, k = 2 keeps only (0, 2) and (1, 1) of its three s-vectors
         records = count_table(3, 2, threads=8, prune=True)
-        assert pool_events == [("made", 2), ("shutdown",)]
+        assert pool_events == [("made", 2)]
         assert [r.g for r in records] == [r.g for r in count_table(3, 2, threads=1)]
 
     def test_input_validation(self):

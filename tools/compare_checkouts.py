@@ -50,6 +50,12 @@ every key that differs is printed with both values.  Probes:
                           TABLE_GRIDS, plain and pruned, on 1 and 2 workers,
                           and of count_table(4, 6) on 2 workers resuming a
                           cache that holds k = 2 and 4; pool sizes are left out
+  calls                   a digest of (n, k, g, mode, tuples examined) over
+                          one process's run of CALL_GRID through count_actual
+                          on 2 workers, twice, then count_table(4, 6) on 3
+                          workers and a pruned count_table(3, 8) on 2, so a
+                          checkout that keeps its worker pool across calls
+                          reuses and replaces it; pool sizes are left out
 
 Exit status: 0 when every probe agrees, 1 otherwise.
 """
@@ -106,6 +112,8 @@ WALK_ROWS = [
 SINGLE_ROWS = [(4, 10), (5, 8), (6, 6)]
 # (n, kmax) for the table probe, which runs the worker pool as well as the inline path
 TABLE_GRIDS = [(3, 8), (4, 10), (5, 6), (6, 5)]
+# (n, k) for the calls probe: censusbench's sweep-cache grid
+CALL_GRID = [(n, k) for n in range(4, 9) for k in range(7)]
 
 
 def _digest(items) -> str:
@@ -311,6 +319,16 @@ def _tables() -> dict:
     return {"table": {"tables": len(tables), "digest": _digest(tables)}}
 
 
+def _calls() -> dict:
+    from braidcensus import census
+
+    records = [census.count_actual(n, k, threads=2) for n, k in CALL_GRID * 2]
+    records += census.count_table(4, 6, threads=3)
+    records += census.count_table(3, 8, threads=2, prune=True)
+    rows = [(r.n, r.k, r.g, r.mode, r.tuples_examined) for r in records]
+    return {"calls": {"records": len(rows), "digest": _digest(rows)}}
+
+
 def _verify_outputs() -> dict:
     out = {}
     for suite in sorted(SUITE_SIZE):
@@ -346,7 +364,10 @@ def _cli_outputs() -> dict:
 
 def probe() -> None:
     results = _verify_outputs()
-    parts = (_cli_outputs, _faults, _nesting, _graphs, _svg, _closedforms, _walks, _memo, _tables)
+    parts = (
+        _cli_outputs, _faults, _nesting, _graphs, _svg, _closedforms, _walks, _memo, _tables,
+        _calls,
+    )
     for part in parts:
         results.update(part())
     print(json.dumps(results))
