@@ -86,14 +86,18 @@ Counts are exact (Python integers are unbounded).  The optional cache is a
 UTF-8 JSON-lines file, one object per record with keys n, k, g, mode,
 engine_version, elapsed_ms; re-running a cached query returns the stored
 count, and two stored records disagreeing on g for one (n, k) are a hard
-error.  Opening a cache validates every line: it is parsed once by json's
-decoder (json.loads runs only on a line that fails, to raise json's own
-message), its fields are converted, and its g is checked against any
-earlier record for the same (n, k); merging caches goes through the same
-check.  Per (n, k) the cache keeps a plain row, and builds a CensusRecord
-only when lookup or records asks for one.  Each append holds an exclusive
-lock on the file, and a merge holds it from its last read of the target
-through the rename; worker processes never touch the file.
+error.  Opening a cache validates every line, in one pass.  A line exactly
+as CensusRecord.to_json writes it (keys in its order, integers within
+int()'s digit limit, strings with no escape or control character) is read
+by one pattern match, whose fields json would decode to the same values.
+Any other line is parsed once by json's decoder (json.loads runs only on a
+line that fails, to raise json's own message).  Its fields are converted,
+and its g is checked against any earlier record for the same (n, k);
+merging caches goes through the same check.  Per (n, k) the cache keeps a
+plain row, and builds a CensusRecord only when lookup or records asks for
+one.  Each append holds an exclusive lock on the file, and a merge holds
+it from its last read of the target through the rename; worker processes
+never touch the file.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ import fcntl
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import sys
@@ -121,6 +126,22 @@ MODE_PLAIN = "plain"
 MODE_PRUNED = "pruned"
 
 _DECODER = json.JSONDecoder()
+
+# One cache line exactly as CensusRecord.to_json writes it, newline included.
+# I is a JSON integer of at most the digits int() accepts (a longer one is
+# left to json, which raises int()'s error; {0,} when the limit is off), and
+# S a string with no escape or control character, which json would decode
+# to the text matched.
+_RECORD = re.compile(
+    (
+        r'\{"n": (I), "k": (I), "g": (I), "mode": "(S)", '
+        r'"engine_version": "(S)", "elapsed_ms": (I)\}\n'
+    )
+    .replace("I", r"-?(?:0|[1-9][0-9]{0,%s})" % (
+        sys.get_int_max_str_digits() - 1 if sys.get_int_max_str_digits() else ""
+    ))
+    .replace("S", r'[^"\\\x00-\x1f]*')
+)
 
 # (n, k) -> (g, mode, elapsed_ms, engine_version): a cache record as loaded
 _Rows = dict[tuple[int, int], tuple[int, str, int, str]]
@@ -486,23 +507,30 @@ def _scan_rows(fh: IO[str], path: str, rows: _Rows) -> _Scan:
     fh.seek(0)
     raw = ""
     for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+        record = _RECORD.fullmatch(raw)
+        if record is None:
+            line = raw.strip()
+            if not line:
+                continue
         try:
-            try:
-                obj, end = _DECODER.raw_decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
-                obj = json.loads(line)  # raises json's own error and message
-            key = (int(obj["n"]), int(obj["k"]))
-            row = (
-                int(obj["g"]),
-                str(obj.get("mode", MODE_PLAIN)),
-                int(obj.get("elapsed_ms", 0)),
-                str(obj.get("engine_version", "unknown")),
-            )
+            if record is not None:  # a line as to_json writes it
+                n, k, g, mode, version, elapsed = record.groups()
+                key = (int(n), int(k))
+                row = (int(g), mode, int(elapsed), version)
+            else:
+                try:
+                    obj, end = _DECODER.raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    obj = json.loads(line)  # raises json's own error and message
+                key = (int(obj["n"]), int(obj["k"]))
+                row = (
+                    int(obj["g"]),
+                    str(obj.get("mode", MODE_PLAIN)),
+                    int(obj.get("elapsed_ms", 0)),
+                    str(obj.get("engine_version", "unknown")),
+                )
         except (ValueError, KeyError, TypeError) as exc:
             # only the final line can lack its newline
             if isinstance(exc, json.JSONDecodeError) and not raw.endswith("\n"):
@@ -559,12 +587,13 @@ class CensusCache:
 
     A plain row is kept per (n, k), and lookup and records build the
     CensusRecord objects, so a lookup hit carries tuples_examined None.
-    Loading tolerates unknown keys and blank lines; duplicate keys must
-    agree on g (the first record is kept).  Partial tables are resumable:
-    a lookup hit skips recomputation entirely.  A final line without its
-    newline that does not parse is what a process killed mid-append leaves
-    behind: it is skipped with a warning on stderr and cut off by the next
-    add.  An unreadable line anywhere else is a hard error.  An absent file
+    Loading reads a line exactly as to_json writes it by one pattern match
+    and any other line by json's decoder; it tolerates other key orders,
+    unknown keys and blank lines, and duplicate keys must agree on g (the
+    first record is kept).  Partial tables are resumable: a lookup hit
+    skips recomputation entirely.  A final line without its newline that
+    does not parse is what a process killed mid-append leaves behind: it
+    is skipped with a warning on stderr and cut off by the next add.  An unreadable line anywhere else is a hard error.  An absent file
     in an existing directory is an empty cache; any other path open refuses
     (a missing directory, a regular file on it) raises open's OSError at once.
 

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -798,6 +799,14 @@ def reference_load(path):
     return rows
 
 
+def canonical(k="4", g="5", mode="plain", version="v", ms="0", end="\n"):
+    """A line in the shape to_json writes, from the raw text of each field."""
+    return (
+        f'{{"n": 3, "k": {k}, "g": {g}, "mode": "{mode}", '
+        f'"engine_version": "{version}", "elapsed_ms": {ms}}}{end}'
+    )
+
+
 class TestLoaderParity:
     """CensusCache loads exactly what a json.loads-per-line loader does."""
 
@@ -819,9 +828,21 @@ class TestLoaderParity:
             '{"n": "3", "k": " 4", "g": "5", "elapsed_ms": "12"}\n',
             '{"n": 3.0, "k": 4, "g": 5, "elapsed_ms": 1.9, "mode": "\\u00e9t\u00e9"}\n',
             "\n   \n",
+            CensusRecord(n=3, k=4, g=5, mode="plain", elapsed_ms=0).to_json() + "\n",
+            canonical(k="-0", ms="-0"),
+            canonical(mode='a\\"b'),
+            canonical(mode="\\u00e9t\\u00e9"),
+            canonical(mode="\u00e9t\u00e9"),
+            canonical(version="v\x7f"),
+            canonical(g="9" * sys.get_int_max_str_digits()),
+            canonical(g="5.0"),
+            canonical(g="true"),
+            canonical(end="\r\n"),
         ],
         ids=["permuted", "extra-keys", "optional-missing", "padding", "crlf",
-             "numeric-strings", "float-and-unicode", "blank"],
+             "numeric-strings", "float-and-unicode", "blank", "to-json", "minus-zero",
+             "escaped-quote", "escaped-e-acute", "raw-e-acute", "raw-del", "g-at-digit-limit",
+             "float-g", "true-g", "canonical-crlf"],
     )
     def test_accepted_lines(self, tmp_path, middle):
         path = tmp_path / "c.jsonl"
@@ -840,8 +861,11 @@ class TestLoaderParity:
             ('\ufeff{"n": 3, "k": 4, "g": 5}', "Unexpected UTF-8 BOM"),
             ('{"n": 3, "k": 4, "g": 5,}', "Expecting property name"),
             ('{"n": 3, "k": "four", "g": 5}', "invalid literal for int()"),
+            (canonical(k="04", end=""), "Expecting ',' delimiter"),
+            (canonical(g="1" * 5000, end=""), "Exceeds the limit"),
         ],
-        ids=["two-objects", "list", "string", "number", "bom", "trailing-comma", "bad-int"],
+        ids=["two-objects", "list", "string", "number", "bom", "trailing-comma", "bad-int",
+             "leading-zero", "g-past-digit-limit"],
     )
     def test_rejected_middle_lines(self, tmp_path, middle, fragment):
         path = tmp_path / "c.jsonl"
@@ -864,6 +888,60 @@ class TestLoaderParity:
         assert f"c.jsonl:3: ignoring incomplete final record ({len(torn)} bytes)" in (
             capsys.readouterr().err
         )
+
+    def test_canonical_final_line_without_newline_is_kept(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text(self.HEAD + canonical(end=""), encoding="utf-8")
+        cache = CensusCache(str(path))
+        assert self.loaded(cache) == reference_load(str(path))
+        assert (3, 4) in self.loaded(cache) and capsys.readouterr().err == ""
+        record = CensusRecord(n=3, k=5, g=6, mode="plain", elapsed_ms=0)
+        cache.add(record)
+        assert path.read_text(encoding="utf-8") == (
+            self.HEAD + canonical() + record.to_json() + "\n"
+        )
+
+    def test_lines_to_json_writes_never_reach_json(self, tmp_path, monkeypatch):
+        """Every route through the loader reads to_json's lines by the pattern alone."""
+        from types import SimpleNamespace
+
+        from braidcensus import census
+
+        records = [
+            CensusRecord(n=n, k=k, g=g, mode=mode, elapsed_ms=ms, engine_version=version)
+            for n, k, g, mode, ms, version in [
+                (2, 0, 1, "plain", 0, census.ENGINE_VERSION),
+                (3, 5, 10 ** (sys.get_int_max_str_digits() - 1), "pruned", 123, "unknown"),
+                (4, 3, -7, "closedform", 10**12, census.ENGINE_VERSION),
+                (5, 0, 0, "", 1, ""),
+                (6, 1, 2, "plain", 0, census.ENGINE_VERSION),
+            ]
+        ]
+        source, target = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+        source.write_text("".join(r.to_json() + "\n" for r in records[:2]), encoding="utf-8")
+        stale = CensusCache(str(target))
+        writer = CensusCache(str(target))
+        for record in records[2:4]:
+            writer.add(record)
+        want_source = self.loaded(CensusCache(str(source)))
+        want_target = self.loaded(CensusCache(str(target)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a line to_json wrote reached json")
+
+        monkeypatch.setattr(census, "_DECODER", SimpleNamespace(raw_decode=refuse))
+        monkeypatch.setattr(census.json, "loads", refuse)
+        assert self.loaded(CensusCache(str(source))) == want_source
+        stale.add(records[4])  # rescans the file writer appended to
+        assert self.loaded(stale) == {
+            **want_target, (6, 1): (2, "plain", 0, census.ENGINE_VERSION)
+        }
+        assert merge_caches(str(target), [str(source)]) == 5
+        merged = self.loaded(CensusCache(str(target)))
+        monkeypatch.undo()
+        assert merged == self.loaded(CensusCache(str(target))) == {
+            (r.n, r.k): (r.g, r.mode, r.elapsed_ms, r.engine_version) for r in records
+        }
 
 
 def test_default_threads_names_the_variable_for_a_non_integer(monkeypatch):

@@ -56,13 +56,23 @@ every key that differs is printed with both values.  Probes:
                           workers and a pruned count_table(3, 8) on 2, so a
                           checkout that keeps its worker pool across calls
                           reuses and replaces it; pool sizes are left out
+  cache                   a digest of the records of a file mixing to_json
+                          lines with every line shape TestLoaderParity
+                          accepts, as CensusCache(path).records(), lookup,
+                          merge_caches into a new target, and a stale
+                          handle's add (which reads the file again), with
+                          the files' bytes; and the error text or warning
+                          of each line shape TestLoaderParity rejects or
+                          skips as torn, with {tmp} masked
 
 Exit status: 0 when every probe agrees, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -114,6 +124,52 @@ SINGLE_ROWS = [(4, 10), (5, 8), (6, 6)]
 TABLE_GRIDS = [(3, 8), (4, 10), (5, 6), (6, 5)]
 # (n, k) for the calls probe: censusbench's sweep-cache grid
 CALL_GRID = [(n, k) for n in range(4, 9) for k in range(7)]
+
+
+def _line(k, g="5", mode="plain", version="v", ms="0", end="\n"):
+    """A cache line in the shape to_json writes, from the raw text of each field."""
+    return (
+        f'{{"n": 3, "k": {k}, "g": {g}, "mode": "{mode}", '
+        f'"engine_version": "{version}", "elapsed_ms": {ms}}}{end}'
+    )
+
+
+# the line shapes TestLoaderParity accepts (tests/test_census.py), one (n, k)
+# each; the last, complete but without its newline, is kept
+CACHE_ACCEPTED = [
+    '{"engine_version": "v", "elapsed_ms": 9, "g": 5, "mode": "pruned", "k": 10, "n": 3}\n',
+    '{"n": 3, "k": 11, "g": 5, "stats": {"per_line": [1, 2]}, "note": null}\n',
+    '{"n": 3, "k": 12, "g": 5}\n',
+    ' \t {"n" : 3 , "k":13,"g" :5}\t  \n',
+    '{"n": 3, "k": 14, "g": 5, "mode": "plain", "elapsed_ms": 0}\r\n',
+    '{"n": "3", "k": " 15", "g": "5", "elapsed_ms": "12"}\n',
+    '{"n": 3.0, "k": 16, "g": 5, "elapsed_ms": 1.9, "mode": "\\u00e9t\u00e9"}\n',
+    "\n   \n",
+    _line("-0", ms="-0"),
+    _line(17, mode='a\\"b'),
+    _line(18, mode="\\u00e9t\\u00e9"),
+    _line(19, mode="\u00e9t\u00e9"),
+    _line(20, version="v\x7f"),
+    _line(21, g="9" * sys.get_int_max_str_digits()),
+    _line(22, g="5.0"),
+    _line(23, g="true"),
+    _line(24, end="\r\n"),
+    _line(25, end=""),
+]
+# the line shapes TestLoaderParity rejects, each read as line 2 of 3
+CACHE_REJECTED = [
+    '{"n": 3, "k": 4, "g": 5} {"n": 3, "k": 5, "g": 6}',
+    "[1, 2]",
+    '"x"',
+    "7",
+    '\ufeff{"n": 3, "k": 4, "g": 5}',
+    '{"n": 3, "k": 4, "g": 5,}',
+    '{"n": 3, "k": "four", "g": 5}',
+    _line("04", end=""),
+    _line(4, g="1" * 5000, end=""),
+]
+# the torn final lines TestLoaderParity skips with a warning
+CACHE_TORN = ['{"n": 3, "k": 9, "g"', '{"n": 3, "k": 9, "g": 1} {"n"', "[1, "]
 
 
 def _digest(items) -> str:
@@ -329,6 +385,50 @@ def _calls() -> dict:
     return {"calls": {"records": len(rows), "digest": _digest(rows)}}
 
 
+def _cache() -> dict:
+    from braidcensus import census
+
+    def record(k):
+        return census.CensusRecord(n=2, k=k, g=k + 1, mode="plain", elapsed_ms=k)
+
+    written = [record(k).to_json() + "\n" for k in range(len(CACHE_ACCEPTED))]
+    mixed = "".join(w + line for w, line in zip(written, CACHE_ACCEPTED))
+    seen, errors = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        path, target = os.path.join(tmp, "c.jsonl"), os.path.join(tmp, "t.jsonl")
+        stale = census.CensusCache(path)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(mixed)
+        cache = census.CensusCache(path)
+        seen.append(cache.records())
+        seen.append([cache.lookup(r.n, r.k) for r in cache.records()])
+        seen.append(census.merge_caches(target, [path]))
+        seen.append(census.CensusCache(target).records())
+        stale.add(record(100))
+        seen.append(stale.records())
+        for name in (path, target):
+            with open(name, "rb") as fh:
+                seen.append(fh.read())
+        head, tail = record(1).to_json() + "\n", record(2).to_json() + "\n"
+        for line in CACHE_REJECTED:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(head + line + "\n" + tail)
+            try:
+                census.CensusCache(path)
+                errors.append(None)
+            except census.CacheConflictError as exc:
+                errors.append(str(exc).replace(tmp, "{tmp}"))
+        for line in CACHE_TORN:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(head + tail + line)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                seen.append(census.CensusCache(path).records())
+            errors.append(err.getvalue().replace(tmp, "{tmp}"))
+    return {
+        "cache": {"records": len(seen[0]), "digest": _digest(seen), "errors": errors}
+    }
+
+
 def _verify_outputs() -> dict:
     out = {}
     for suite in sorted(SUITE_SIZE):
@@ -366,7 +466,7 @@ def probe() -> None:
     results = _verify_outputs()
     parts = (
         _cli_outputs, _faults, _nesting, _graphs, _svg, _closedforms, _walks, _memo, _tables,
-        _calls,
+        _calls, _cache,
     )
     for part in parts:
         results.update(part())
