@@ -1,8 +1,10 @@
 """Exhaustive counting of connected coordinate tuples, g(n, k).
 
 The count for fixed (n, k) splits over interior s-vectors, one work unit
-each.  A count_table or count_actual call lists the units of every row to
-compute and streams them, in order, through one map: inline, or over a
+each, a plain tuple: no SVector is built.  A count_table or count_actual
+call builds the rows it must compute, and only those (none when the cache
+holds every row), with one coords.interior_rows call, lists their units
+and streams them, in order, through one map: inline, or over a
 process pool (worker processes: CPython threads would serialise on the
 interpreter lock) used only with more than one worker and a row of more
 than one unit, min(workers, widest row) wide, and fed in chunks sized by
@@ -117,7 +119,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable
 
-from .coords import SVector, a_range_size, enumerate_s_vectors
+from .coords import SVector, a_range_size, interior_rows
 from .diagram import zone_arc_pairs
 
 ENGINE_VERSION = "braidcensus-1"
@@ -343,12 +345,14 @@ def default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _work_units(n: int, k: int, prune: bool) -> Iterable[tuple[tuple[int, ...], bool, int]]:
-    for sv in enumerate_s_vectors(n, k):
-        reverse = sv.s[::-1]
-        if prune and sv.s > reverse:
-            continue  # its reversal is enumerated instead
-        yield (sv.s, prune, 2 if prune and sv.s != reverse else 1)
+def _work_units(
+    row: list[tuple[int, ...]], prune: bool
+) -> list[tuple[tuple[int, ...], bool, int]]:
+    """(interior, mirror, weight) per interior of one coords.interior_rows row."""
+    if not prune:
+        return [(s, False, 1) for s in row]
+    # a vector greater than its reversal is left out: the reversal counts twice
+    return [(s, True, 1 if s == r else 2) for s in row for r in (s[::-1],) if s <= r]
 
 
 ProgressFn = Callable[[int, int, tuple[int, ...]], None]
@@ -405,7 +409,8 @@ def _count_rows(
     if workers < 1:
         raise ValueError(f"thread count must be >= 1, got {workers}")
     hits = {k: cache.lookup(n, k) if cache is not None else None for k in ks}
-    rows = {k: list(_work_units(n, k, prune)) for k, hit in hits.items() if hit is None}
+    missed = [k for k, hit in hits.items() if hit is None]
+    rows = {k: _work_units(row, prune) for k, row in interior_rows(n, missed).items()}
     widest = max(map(len, rows.values()), default=0)
     units = [unit for row in rows.values() for unit in row]
     pool = pooled = None

@@ -15,6 +15,10 @@ where [..] is 1 if the condition holds and 0 otherwise.  Every admissible
 tuple is realised by a unique tight generalised diagram; the tuple belongs
 to a braid exactly when that diagram is connected (see the diagram module).
 
+interior_rows lists the interior s-vectors of each requested sum as plain
+tuples, the census's work units; enumerate_s_vectors reads one such row and
+wraps each entry in an SVector.
+
 All values here are plain machine integers and all operations are pure,
 so everything in this module is safe to share across threads.
 """
@@ -26,7 +30,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class CoordinateError(ValueError):
@@ -158,7 +162,10 @@ def sym_c(c: VirtualCoordinates) -> VirtualCoordinates:
 
 @dataclass(frozen=True)
 class SVector:
-    """An interior s-vector (s_1, ..., s_{n-1}): the work unit of the census."""
+    """A validated interior s-vector (s_1, ..., s_{n-1}).
+
+    The census's work units carry the plain tuple s, from interior_rows.
+    """
 
     n: int
     s: tuple[int, ...]
@@ -185,24 +192,54 @@ def count_s_vectors(n: int, k: int) -> int:
     return math.comb(k + n - 2, n - 2)
 
 
+def interior_rows(n: int, ks: Iterable[int]) -> dict[int, list[tuple[int, ...]]]:
+    """{k: every interior s-vector with sum k, as plain tuples}, for k in ks.
+
+    Each row lists the compositions of k into n-1 non-negative parts in
+    lexicographic order, the order enumerate_s_vectors yields them in, and
+    the rows come in the order of ks.  They are built by halving: an
+    m-part composition is an h-part head followed by an (m - h)-part tail,
+    h = m // 2.  In order, the heads are the (h + 1)-part compositions of k
+    with their last part, the sum the tail takes, removed, so each row is a
+    concatenation of precomputed tuples with no per-tuple arithmetic.  A
+    row of sum k needs the tails of every sum up to k, never more tuples
+    than the row itself holds.
+    """
+    ks = list(ks)
+    least = min(ks, default=0)
+    if n < 1 or least < 0:
+        raise CoordinateError(f"need n >= 1 and k >= 0, got n={n}, k={least}")
+    return _compositions(n - 1, ks)
+
+
+def _compositions(m: int, ks: Sequence[int]) -> dict[int, list[tuple[int, ...]]]:
+    """{k: the m-part compositions of k in lexicographic order} for k in ks."""
+    if m == 0:
+        return {k: [()] if k == 0 else [] for k in ks}
+    if m == 1:
+        return {k: [(k,)] for k in ks}
+    if m == 2:
+        return {k: list(zip(range(k + 1), range(k, -1, -1))) for k in ks}
+    h = m // 2
+    tails = _compositions(m - h, range(max(ks, default=-1) + 1))
+    heads = {k: tails[k] for k in ks} if m - h == h + 1 else _compositions(h + 1, ks)
+    # the one-element loop slices each head once, not once per tail
+    return {
+        k: [head + t for c in row for head in (c[:h],) for t in tails[c[h]]]
+        for k, row in heads.items()
+    }
+
+
 def enumerate_s_vectors(n: int, k: int) -> Iterator[SVector]:
     """Yield every interior s-vector with sum k, in lexicographic order.
 
     The order is part of the contract: the census partitions and caches
-    work per s-vector, so it must be deterministic.
+    work per s-vector, so it must be deterministic.  Row k of
+    interior_rows(n, [k]) is built in full on the first next(), which
+    raises its CoordinateError for n < 1 or k < 0.
     """
-    if n < 1 or k < 0:
-        raise CoordinateError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    if n == 1:
-        if k == 0:
-            yield SVector(n=1, s=())
-        return
-    # stars and bars: n - 2 bars among k + n - 2 slots, each part the gap
-    # between two cuts; bars in lexicographic order give parts in it too
-    end = k + n - 2
-    for bars in itertools.combinations(range(end), n - 2):
-        cuts = (-1, *bars, end)
-        yield SVector(n=n, s=tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    for s in interior_rows(n, [k])[k]:
+        yield SVector(n=n, s=s)
 
 
 def count_a_tuples(sv: SVector) -> int:

@@ -110,7 +110,8 @@ class ArcGraph:
     closed: bool
 
     def node(self, i: int, j: int) -> int:
-        return line_bases(self.s)[i] + j - 1
+        # line_bases(self.s)[i]: lines 0 .. i-1 hold 2*s_t + 1 nodes each
+        return i + 2 * sum(self.s[:i]) + j - 1
 
     @property
     def node_count(self) -> int:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from braidcensus import census, coords
 from braidcensus.census import (
     CacheConflictError,
     CensusCache,
@@ -15,7 +16,7 @@ from braidcensus.census import (
     table_csv,
 )
 from braidcensus.closedform import g2, g3_totient
-from braidcensus.coords import SVector, enumerate_a_tuples, enumerate_s_vectors
+from braidcensus.coords import SVector, enumerate_a_tuples, enumerate_s_vectors, interior_rows
 from braidcensus.diagram import is_actual
 from braidcensus.perms import c_pair
 
@@ -130,6 +131,60 @@ class TestTable:
     def test_csv_export(self):
         records = count_table(2, 3, threads=1)
         assert table_csv(records) == "n,k,g\n2,0,1\n2,1,2\n2,2,2\n2,3,2\n"
+
+
+class TestWorkUnits:
+    def test_pruned_units_keep_one_orientation(self):
+        for n in range(1, 8):
+            for row in interior_rows(n, range(9)).values():
+                assert census._work_units(row, False) == [(s, False, 1) for s in row]
+                pruned = census._work_units(row, True)
+                assert [s for s, _, _ in pruned] == [s for s in row if s <= s[::-1]]
+                for s, mirror, weight in pruned:
+                    assert mirror and weight == (1 if s == s[::-1] else 2), s
+                assert sum(weight for _, _, weight in pruned) == len(row)
+
+    def test_census_builds_no_svector(self, monkeypatch):
+        def run():
+            out = []
+            for prune in (False, True):
+                calls = []
+                records = count_table(
+                    5, 6, threads=1, prune=prune, progress=lambda *p: calls.append(p)
+                )
+                out.append(([r.g for r in records], calls))
+            calls = []
+            record = count_actual(4, 3, threads=2, progress=lambda *p: calls.append(p))
+            out.append(([record.g], calls))
+            return out
+
+        want = run()
+        assert want[0][0] == want[1][0] and want[2][0] == [56]
+        assert [s for _, _, s in want[2][1]] == [sv.s for sv in enumerate_s_vectors(4, 3)]
+
+        def refuse(self):
+            raise AssertionError(f"the census built {self!r}")
+
+        monkeypatch.setattr(coords.SVector, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            SVector(n=2, s=(1,))
+        assert run() == want
+
+    def test_only_missed_rows_are_built(self, monkeypatch, tmp_path):
+        asked = []
+
+        def recording(n, ks):
+            asked.append((n, list(ks)))
+            return interior_rows(n, ks)
+
+        monkeypatch.setattr(census, "interior_rows", recording)
+        path = str(tmp_path / "c.jsonl")
+        for k in (2, 4):
+            count_actual(4, k, threads=1, cache=CensusCache(path))
+        partial = count_table(4, 5, threads=1, cache=CensusCache(path))
+        full = count_table(4, 5, threads=1, cache=CensusCache(path))
+        assert asked == [(4, [2]), (4, [4]), (4, [0, 1, 3, 5]), (4, [])]
+        assert [r.g for r in partial] == [r.g for r in full] == [1, 6, 22, 56, 116, 206]
 
 
 class TestCache:

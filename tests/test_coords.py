@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from braidcensus.coords import (
     count_s_vectors,
     enumerate_a_tuples,
     enumerate_s_vectors,
+    interior_rows,
     norm,
     parse_coords,
     random_coordinates,
@@ -171,6 +173,11 @@ class TestEnumeration:
         assert got[0] == (0,) * 1198 + (1,)
         assert got[-1] == (1,) + (0,) * 1198
 
+    def test_enumeration_reads_row_k_of_the_table(self):
+        for n, k in [(1, 0), (1, 2), (2, 7), (5, 6), (9, 3)]:
+            got = list(enumerate_s_vectors(n, k))
+            assert got == [SVector(n=n, s=s) for s in interior_rows(n, [k])[k]]
+
     def test_mirror_representatives_are_half_the_space(self):
         # one tuple per sym_v pair, and the central tuple as its own
         for n in range(1, 6):
@@ -210,6 +217,51 @@ class TestEnumeration:
                     validate(n, c.raw())
 
 
+def stars_and_bars(n, k):
+    """Compositions of k into n - 1 parts: n - 2 bars among k + n - 2 slots."""
+    if n == 1:
+        return [()] if k == 0 else []
+    end = k + n - 2
+    out = []
+    for bars in itertools.combinations(range(end), n - 2):
+        cuts = (-1, *bars, end)
+        out.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    return out
+
+
+class TestInteriorRows:
+    def test_matches_stars_and_bars(self):
+        for n in range(1, 10):
+            table = interior_rows(n, range(13))
+            assert table == {k: stars_and_bars(n, k) for k in range(13)}, n
+            assert list(table) == list(range(13))
+            for k in (0, 1, 5, 12):
+                assert interior_rows(n, [k]) == {k: table[k]}
+            rows = interior_rows(n, [5, 0, 3])
+            assert list(rows.items()) == [(k, table[k]) for k in (5, 0, 3)]
+
+    def test_single_strand(self):
+        assert interior_rows(1, [0]) == {0: [()]}
+        assert interior_rows(1, range(5)) == {0: [()], 1: [], 2: [], 3: [], 4: []}
+
+    def test_no_rows_asked(self):
+        assert interior_rows(5, []) == {}
+
+    def test_wide_shapes(self):
+        assert interior_rows(1000, [0]) == {0: [(0,) * 999]}
+        rows = interior_rows(1200, [0, 1])
+        assert rows[0] == [(0,) * 1199]
+        assert rows[1] == [(0,) * i + (1,) + (0,) * (1198 - i) for i in reversed(range(1199))]
+
+    def test_one_long_row(self):
+        assert interior_rows(3, [3000]) == {3000: [(i, 3000 - i) for i in range(3001)]}
+
+    def test_bad_shapes_name_the_arguments(self):
+        for n, ks, k in [(0, [0], 0), (3, [-1], -1), (3, [2, -1, 4], -1)]:
+            with pytest.raises(CoordinateError, match=f"n={n}, k={k}$"):
+                interior_rows(n, ks)
+
+
 def test_range_size_table():
     assert a_range_size(0, 0) == 1
     assert a_range_size(0, 3) == 2
@@ -240,6 +292,7 @@ def test_raw_round_trip(rng):
         pytest.param(lambda: SVector(n=3, s=(1,)), id="svector-length"),
         pytest.param(lambda: SVector(n=3, s=(1, -1)), id="svector-negative"),
         pytest.param(lambda: list(enumerate_s_vectors(0, 0)), id="enumerate-n0"),
+        pytest.param(lambda: list(enumerate_s_vectors(3, -1)), id="enumerate-k-1"),
     ],
 )
 def test_bad_input_raises_coordinate_error(call):

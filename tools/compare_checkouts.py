@@ -27,6 +27,10 @@ every key that differs is printed with both values.  Probes:
                           enumerate_a_tuples stream) with n <= 4, k <= 3,
                           with the tuple and connected counts
   svg                     a digest of render_svg bytes on fuzzed tuples
+  svectors                a digest of every SVector enumerate_s_vectors yields
+                          for n <= 9, k <= 10 and for SVECTOR_WIDE, with their
+                          count, and the CoordinateError text for (0, 0) and
+                          (3, -1)
   closedforms             a digest of is_cyclic_translation for moduli 1..30,
                           is_cyclic_translated_cut for moduli 1..12, theta_spec
                           and theta_is_cyclic for 1 <= k < l <= 20, b3_actual
@@ -120,6 +124,8 @@ WALK_ROWS = [
 ]
 # (n, kmax) for the single walk probe: TestWalker's grid (tests/test_census.py)
 SINGLE_ROWS = [(4, 10), (5, 8), (6, 6)]
+# (n, k) for the svectors probe beyond its n <= 9, k <= 10 grid: rows on many strands
+SVECTOR_WIDE = [(1000, 0), (1200, 1)]
 # (n, kmax) for the table probe, which runs the worker pool as well as the inline path
 TABLE_GRIDS = [(3, 8), (4, 10), (5, 6), (6, 5)]
 # (n, k) for the calls probe: censusbench's sweep-cache grid
@@ -275,6 +281,27 @@ def _svg() -> dict:
         c = coords.random_coordinates(rng, rng.randint(1, 8), rng.randint(0, 12))
         docs += [render.render_svg(c), render.render_svg(c, closed=True)]
     return {"svg": {"documents": len(docs), "digest": _digest(docs)}}
+
+
+def _svectors() -> dict:
+    from braidcensus import coords
+
+    shapes = [(n, k) for n in range(1, 10) for k in range(11)] + SVECTOR_WIDE
+    rows = [(n, k, list(coords.enumerate_s_vectors(n, k))) for n, k in shapes]
+    errors = []
+    for n, k in [(0, 0), (3, -1)]:
+        try:
+            list(coords.enumerate_s_vectors(n, k))
+            errors.append(None)
+        except coords.CoordinateError as exc:
+            errors.append(str(exc))
+    return {
+        "svectors": {
+            "s_vectors": sum(len(row) for _, _, row in rows),
+            "digest": _digest(rows),
+            "errors": errors,
+        }
+    }
 
 
 def _closedforms() -> dict:
@@ -465,8 +492,8 @@ def _cli_outputs() -> dict:
 def probe() -> None:
     results = _verify_outputs()
     parts = (
-        _cli_outputs, _faults, _nesting, _graphs, _svg, _closedforms, _walks, _memo, _tables,
-        _calls, _cache,
+        _cli_outputs, _faults, _nesting, _graphs, _svg, _svectors, _closedforms, _walks, _memo,
+        _tables, _calls, _cache,
     )
     for part in parts:
         results.update(part())
