@@ -1,16 +1,18 @@
 """Exhaustive counting of connected coordinate tuples, g(n, k).
 
-The count for fixed (n, k) splits over interior s-vectors, one work unit
-each, a plain tuple: no SVector is built.  A count_table or count_actual
-call builds the rows it must compute, and only those (none when the cache
-holds every row), with one coords.interior_rows call, lists their units
-and streams them, in order, through one map: inline, or over a
-process pool (worker processes: CPython threads would serialise on the
-interpreter lock) used only with more than one worker and a row of more
-than one unit, min(workers, widest row) wide, and fed in chunks sized by
-that row alone.  The process keeps one such pool: the first call that
-needs it forks it, later calls of the same width reuse it, and a call of
-another width shuts it down and forks one of its own width.  A call that
+The count for fixed (n, k) splits over interior s-vectors.  A work unit
+is one interior, the plain tuple coords.interior_rows builds: no SVector
+is built, and the worker walks every unit alike, whatever the mode.  A
+count_table or count_actual call builds the rows it must compute, and
+only those (none when the cache holds every row), with one
+coords.interior_rows call, and streams their interiors, in order, through
+one map: inline, or over a process pool (worker processes: CPython
+threads would serialise on the interpreter lock) used only with more than
+one worker and a row of more than one unit, min(workers, widest row)
+wide, and fed in chunks sized by that row alone.  The process keeps one
+such pool: the first call that needs it forks it, later calls of the same
+width reuse it, and a call of another width shuts it down and forks one
+of its own width.  A call that
 raises cancels its pending chunks and shuts the pool down, so the next
 call forks a fresh one; at interpreter exit concurrent.futures joins the
 workers.  A forked child never uses its parent's pool, and a process that
@@ -74,15 +76,17 @@ product of the walked zones' offset counts (count_a_tuples(sv)), derived
 rather than tallied: every tuple is covered exactly once, either reaching
 L_n or dying with the first prefix of it whose arcs close a loop.
 
-Optional pruning, off by default, enumerates s-vectors up to reversal
-and counts each non-palindromic one twice (tuple reversal is a
-connectivity-preserving bijection between the two orientations).
+Optional pruning, off by default, is applied by the caller alone, as it
+builds the rows and sums their results: it keeps the interiors s with
+s <= s[::-1], and counts each kept non-palindrome twice (tuple reversal is
+a connectivity-preserving bijection between the two orientations).
 Pruned and plain mode must agree; that equality is enforced by tests, not
 assumed.  Both walk the mirror quotient, so tests also check each stored
 transition, and its twin's, against a step through every arc.  In pruned mode
-tuples_examined counts the offset tuples up to the mirror,
-(count_a_tuples(sv) + 1) // 2: a mirror pair counts once, and the central
-tuple, present when every offset range is odd, is its own.
+tuples_examined counts the offset tuples up to the mirror: the caller
+halves each walk's count to (count_a_tuples(sv) + 1) // 2, since a mirror
+pair counts once and the central tuple, present when every offset range
+is odd, is its own.
 
 Counts are exact (Python integers are unbounded).  The optional cache is a
 UTF-8 JSON-lines file, one object per record with keys n, k, g, mode,
@@ -92,14 +96,14 @@ error.  Opening a cache validates every line, in one pass.  A line exactly
 as CensusRecord.to_json writes it (keys in its order, integers within
 int()'s digit limit, strings with no escape or control character) is read
 by one pattern match, whose fields json would decode to the same values.
-Any other line is parsed once by json's decoder (json.loads runs only on a
-line that fails, to raise json's own message).  Its fields are converted,
-and its g is checked against any earlier record for the same (n, k);
-merging caches goes through the same check.  Per (n, k) the cache keeps a
-plain row, and builds a CensusRecord only when lookup or records asks for
-one.  Each append holds an exclusive lock on the file, and a merge holds
-it from its last read of the target through the rename; worker processes
-never touch the file.
+Any other line is parsed by json.loads, which raises json's own message
+for a line it rejects.  Its fields are converted, and its g is checked
+against any earlier record for the same (n, k); merging caches goes
+through the same check.  Per (n, k) the cache keeps a plain row, and
+builds a CensusRecord only when lookup or records asks for one.  Each
+append holds an exclusive lock on the file, and a merge holds it from
+its last read of the target through the rename; worker processes never
+touch the file.
 """
 
 from __future__ import annotations
@@ -126,8 +130,6 @@ ENGINE_VERSION = "braidcensus-1"
 
 MODE_PLAIN = "plain"
 MODE_PRUNED = "pruned"
-
-_DECODER = json.JSONDecoder()
 
 # One cache line exactly as CensusRecord.to_json writes it, newline included.
 # I is a JSON integer of at most the digits int() accepts (a longer one is
@@ -316,15 +318,10 @@ def count_for_s_vector(sv: SVector) -> int:
     return _walk(sv.s, _Transitions())[0]
 
 
-def _worker(unit: tuple[tuple[int, ...], bool, int]) -> tuple[int, int]:
-    """(weighted count, tuples examined) of one work unit.
-
-    A mirror unit, one of a pruned census, reports the offset tuples up to
-    the mirror as examined, (count_a_tuples(sv) + 1) // 2.
-    """
-    interior, mirror, weight = unit
-    actual, examined = _walk(interior, _MEMO)
-    return actual * weight, (examined + 1) // 2 if mirror else examined
+def _worker(interior: tuple[int, ...]) -> tuple[int, int]:
+    """(connected count, tuples examined) of one work unit, an interior
+    s-vector, walked on the memo bound in this process."""
+    return _walk(interior, _MEMO)
 
 
 def default_threads() -> int:
@@ -343,16 +340,6 @@ def default_threads() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _work_units(
-    row: list[tuple[int, ...]], prune: bool
-) -> list[tuple[tuple[int, ...], bool, int]]:
-    """(interior, mirror, weight) per interior of one coords.interior_rows row."""
-    if not prune:
-        return [(s, False, 1) for s in row]
-    # a vector greater than its reversal is left out: the reversal counts twice
-    return [(s, True, 1 if s == r else 2) for s in row for r in (s[::-1],) if s <= r]
 
 
 ProgressFn = Callable[[int, int, tuple[int, ...]], None]
@@ -410,9 +397,11 @@ def _count_rows(
         raise ValueError(f"thread count must be >= 1, got {workers}")
     hits = {k: cache.lookup(n, k) if cache is not None else None for k in ks}
     missed = [k for k, hit in hits.items() if hit is None]
-    rows = {k: _work_units(row, prune) for k, row in interior_rows(n, missed).items()}
+    rows = interior_rows(n, missed)
+    if prune:  # a vector greater than its reversal is left out: the reversal counts twice
+        rows = {k: [s for s in row if s <= s[::-1]] for k, row in rows.items()}
     widest = max(map(len, rows.values()), default=0)
-    units = [unit for row in rows.values() for unit in row]
+    units = [s for row in rows.values() for s in row]
     pool = pooled = None
     keep = False
     records = []
@@ -441,11 +430,14 @@ def _count_rows(
                 row = rows[k]
                 total = examined = 0
                 # row first: zip stops at its end without taking the next row's result
-                for done, (unit, (part, part_examined)) in enumerate(zip(row, results), 1):
+                for done, (s, (part, part_examined)) in enumerate(zip(row, results), 1):
+                    if prune:  # s stands for its reversal too, and a mirror pair counts once
+                        part *= 1 if s == s[::-1] else 2
+                        part_examined = (part_examined + 1) // 2
                     total += part
                     examined += part_examined
                     if progress is not None:
-                        progress(done, len(row), unit[0])
+                        progress(done, len(row), s)
                 elapsed_ms = int((time.perf_counter() - started) * 1000)
                 record = CensusRecord(n, k, total, mode, elapsed_ms, tuples_examined=examined)
                 if cache is not None:
@@ -523,12 +515,7 @@ def _scan_rows(fh: IO[str], path: str, rows: _Rows) -> _Scan:
                 key = (int(n), int(k))
                 row = (int(g), mode, int(elapsed), version)
             else:
-                try:
-                    obj, end = _DECODER.raw_decode(line)
-                except json.JSONDecodeError:
-                    end = -1
-                if end != len(line):
-                    obj = json.loads(line)  # raises json's own error and message
+                obj = json.loads(line)
                 key = (int(obj["n"]), int(obj["k"]))
                 row = (
                     int(obj["g"]),
@@ -593,7 +580,7 @@ class CensusCache:
     A plain row is kept per (n, k), and lookup and records build the
     CensusRecord objects, so a lookup hit carries tuples_examined None.
     Loading reads a line exactly as to_json writes it by one pattern match
-    and any other line by json's decoder; it tolerates other key orders,
+    and any other line by json.loads; it tolerates other key orders,
     unknown keys and blank lines, and duplicate keys must agree on g (the
     first record is kept).  Partial tables are resumable: a lookup hit
     skips recomputation entirely.  A final line without its newline that

@@ -134,15 +134,22 @@ class TestTable:
 
 
 class TestWorkUnits:
-    def test_pruned_units_keep_one_orientation(self):
-        for n in range(1, 8):
-            for row in interior_rows(n, range(9)).values():
-                assert census._work_units(row, False) == [(s, False, 1) for s in row]
-                pruned = census._work_units(row, True)
-                assert [s for s, _, _ in pruned] == [s for s in row if s <= s[::-1]]
-                for s, mirror, weight in pruned:
-                    assert mirror and weight == (1 if s == s[::-1] else 2), s
-                assert sum(weight for _, _, weight in pruned) == len(row)
+    def test_pruned_units_keep_one_orientation(self, monkeypatch):
+        # the inline map calls the module's _worker, so this sees every unit
+        received = []
+        worker = census._worker
+
+        def recording(interior):
+            received.append(interior)
+            return worker(interior)
+
+        monkeypatch.setattr(census, "_worker", recording)
+        for n in range(1, 7):
+            plain = [s for row in interior_rows(n, range(9)).values() for s in row]
+            for prune, want in ((False, plain), (True, [s for s in plain if s <= s[::-1]])):
+                received.clear()
+                count_table(n, 8, threads=1, prune=prune)
+                assert received == want, (n, prune)
 
     def test_census_builds_no_svector(self, monkeypatch):
         def run():
@@ -595,14 +602,18 @@ class TestFrontierWalk:
             assert _walk(sv.s, _Transitions()) == (brute_count(sv), count_a_tuples(sv)), sv
 
     def test_mirror_examines_one_tuple_per_mirror_pair(self):
-        from braidcensus.census import _worker
         from braidcensus.coords import count_a_tuples
 
-        for sv in self.SMALL:
-            g, examined = _worker((sv.s, True, 1))
-            assert g == count_for_s_vector(sv), sv
-            # the offset mirror is an involution with at most one fixed tuple
-            assert examined == (count_a_tuples(sv) + 1) // 2, sv
+        for n in range(1, 6):
+            for k in range(6):
+                row = list(enumerate_s_vectors(n, k))
+                record = count_actual(n, k, threads=1, prune=True)
+                assert record.g == sum(map(count_for_s_vector, row)), (n, k)
+                # the offset mirror is an involution with at most one fixed
+                # tuple, and an s-vector greater than its reversal is not walked
+                assert record.tuples_examined == sum(
+                    (count_a_tuples(sv) + 1) // 2 for sv in row if sv.s <= sv.s[::-1]
+                ), (n, k)
 
     def test_six_strands_past_the_benchmark_table(self):
         # g(6, 12..14) lie past the benchmark's table; they were confirmed
@@ -958,8 +969,6 @@ class TestLoaderParity:
 
     def test_lines_to_json_writes_never_reach_json(self, tmp_path, monkeypatch):
         """Every route through the loader reads to_json's lines by the pattern alone."""
-        from types import SimpleNamespace
-
         from braidcensus import census
 
         records = [
@@ -984,7 +993,6 @@ class TestLoaderParity:
         def refuse(*args, **kwargs):
             raise AssertionError("a line to_json wrote reached json")
 
-        monkeypatch.setattr(census, "_DECODER", SimpleNamespace(raw_decode=refuse))
         monkeypatch.setattr(census.json, "loads", refuse)
         assert self.loaded(CensusCache(str(source))) == want_source
         stale.add(records[4])  # rescans the file writer appended to

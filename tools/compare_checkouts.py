@@ -37,10 +37,12 @@ every key that differs is printed with both values.  Probes:
                           for k, l <= 8 and every offset, and the series
                           coefficients 0..400 of G2, G3, B2 and B3
   walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
-                          of WALK_ROWS, each walked by census._worker as an
-                          (interior, mirror, weight 1) unit in one process,
-                          so a checkout that shares zone transitions across
-                          s-vectors shares them across the whole grid
+                          of WALK_ROWS, each walked once by
+                          census._walk(s, census._MEMO) in one process, so a
+                          checkout that shares zone transitions across
+                          s-vectors shares them across the whole grid; the
+                          pruned digest halves each examined count to
+                          (examined + 1) // 2, as a pruned census reports it
   walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
                           each counted alone by census.count_for_s_vector
   memo                    a digest of every (shape, state, next states) in
@@ -337,17 +339,19 @@ def _walks() -> dict:
     from braidcensus import census, coords
 
     out = {}
-    for mode in (census.MODE_PLAIN, census.MODE_PRUNED):
-        walks = [
-            (n, sv.s, *census._worker((sv.s, mode == census.MODE_PRUNED, 1)))
-            for n, kmax, kmin in WALK_ROWS
-            for k in range(kmin, kmax + 1)
-            for sv in coords.enumerate_s_vectors(n, k)
-        ]
+    walks = [
+        (n, sv.s, *census._walk(sv.s, census._MEMO))
+        for n, kmax, kmin in WALK_ROWS
+        for k in range(kmin, kmax + 1)
+        for sv in coords.enumerate_s_vectors(n, k)
+    ]
+    # a pruned census reports a mirror pair of offset tuples once
+    pruned = [(n, s, g, (examined + 1) // 2) for n, s, g, examined in walks]
+    for mode, rows in ((census.MODE_PLAIN, walks), (census.MODE_PRUNED, pruned)):
         out[f"walk:{mode}"] = {
-            "walks": len(walks),
-            "g": sum(w[2] for w in walks),
-            "digest": _digest(walks),
+            "walks": len(rows),
+            "g": sum(w[2] for w in rows),
+            "digest": _digest(rows),
         }
     singles = [
         (n, sv.s, census.count_for_s_vector(sv))
