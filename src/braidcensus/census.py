@@ -42,6 +42,20 @@ mate[u] == v; otherwise it joins two paths, and the outer ends become
 mates: mate[mate[u]], mate[mate[v]] = mate[v], mate[u].  A closed loop
 never opens again, so such a transition is dead.
 
+The pass steps the zones only up to L_{n-2}, and joins the last two,
+(s_{n-2}, s_{n-1}) and (s_{n-1}, 0), against it.  Tuple reversal
+(coords.sym_h) maps those two zones, offset for offset, onto the first two
+zones of (0, s_{n-1}, s_{n-2}), and keeps each node's place on L_{n-2}.
+So the states that reversed prefix reaches on its second line, the right
+states, give each node on L_{n-2} its mate through the last two zones, or
+0 for the marker on L_n.  Left and right arcs meet only on L_{n-2}, each
+node there has one of each, and the two markers are the only path ends.
+So a state x on L_{n-2} and a right state y join iff the path from node 0
+that alternates y's mates and x's mates visits all 2s_{n-2} + 1 nodes on
+the line; it then ends at the marker.  Each state's prefix count is
+multiplied by its completions, the number of right offset pairs it joins,
+so no state on L_{n-1} is built.
+
 Because the state names no node outside its own line, a zone's
 transition depends only on (s_{i-1}, s_i) and the state on L_{i-1}, not on
 the zone's place in the s-vector nor on the rest of the s-vector: its arcs
@@ -51,7 +65,11 @@ touch no other node.  So the transitions are memoised as
 loop closes}}: each zone shape's arcs are built once per call and
 process, in a local frame, and a state's transitions are made the first
 time the walk looks it up, applying the a straight arcs that offsets a
-and above share once, not once per offset.  Sharing them between
+and above share once, not once per offset.  The memo also holds the
+completions, {(s_{n-2}, s_{n-1}): {state on L_{n-2}: connected offset
+pairs of the last two zones}}: each table's right states are walked once
+per call and process, through the same zone transitions, and a state's
+count is joined the first time a walk looks it up.  Sharing them between
 s-vectors gives each s-vector exactly the counts it gets alone.
 
 The walk runs on line states up to the vertical mirror (coords.sym_v),
@@ -60,10 +78,13 @@ R - 1 - a.  So a state's mirror twin steps, offset for offset in reverse,
 to the twins of the state's next states.  Every next state is stored as
 the lesser of itself and its twin, and the walk keeps one count for each
 such pair: both twins send their prefixes to the same canonical states,
-and the final sum is the plain count.  The quotient roughly halves the
-states the walk and the memo hold.  States are bytes while the line has
-fewer than 256 nodes and tuples beyond; next states are interned.  In
-the calling process the memo shared by work units lives for one
+and twins have the same completions, so the final sum is the plain
+count.  The right states are canonical too, and their plain multiset is
+closed under the mirror, so a state and its twin are both joined against
+each canonical right state and the sum is halved.  The quotient roughly
+halves the states the walk and the memo hold.  States are bytes while
+the line has fewer than 256 nodes and tuples beyond; next states are
+interned.  In the calling process the memo shared by work units lives for one
 count_table or count_actual call: a fresh one is bound when the call
 starts and dropped when it ends.  A pool worker inherits the memo bound
 when it forks and keeps filling it for as long as its pool lives, across
@@ -71,18 +92,23 @@ calls: every entry is exact for any s-vector, so counts stay exact, and
 the cost is the memory an idle worker holds.  count_for_s_vector uses a
 fresh memo.
 
-tuples_examined is the size of the tuple space the pass covers, the
-product of the walked zones' offset counts (count_a_tuples(sv)), derived
-rather than tallied: every tuple is covered exactly once, either reaching
-L_n or dying with the first prefix of it whose arcs close a loop.
+tuples_examined is the size of the tuple space the pass covers,
+count_a_tuples(sv), derived rather than tallied: the product of the offset
+counts of every zone, the stepped zones and the two joined ones (each
+completion table stores its two zones' product).  Every tuple is covered
+exactly once, either dying with the first prefix of it whose arcs close a
+loop or joined as a live prefix with the offset pair of its last two
+zones.
 
 Optional pruning, off by default, is applied by the caller alone, as it
 builds the rows and sums their results: it keeps the interiors s with
 s <= s[::-1], and counts each kept non-palindrome twice (tuple reversal is
 a connectivity-preserving bijection between the two orientations).
 Pruned and plain mode must agree; that equality is enforced by tests, not
-assumed.  Both walk the mirror quotient, so tests also check each stored
-transition, and its twin's, against a step through every arc.  In pruned mode
+assumed.  Both walk the mirror quotient and join its last two zones, so
+tests also check each stored transition, and its twin's, against a step
+through every arc, and each stored completion count, and its twin's,
+against both zones stepped that way.  In pruned mode
 tuples_examined counts the offset tuples up to the mirror: the caller
 halves each walk's count to (count_a_tuples(sv) + 1) // 2, since a mirror
 pair counts once and the central tuple, present when every offset range
@@ -266,16 +292,56 @@ class _Zone(dict):
         return nexts
 
 
+class _Completions(dict):
+    """The completions of s-vectors ending in (sl, sr) (see the module
+    docstring): {canonical state on L_{n-2}: offset pairs of zones (sl, sr)
+    and (sr, 0) that close no loop}.
+
+    right holds the canonical states that the reversed prefix (0, sr, sl)
+    reaches on its second line through the same memo, with their prefix
+    counts.  A state x and a right state y join iff the path from node 0
+    that alternates y's mates and x's mates visits all 2sl + 1 nodes.  x
+    and its twin are both joined against each canonical y, and the sum is
+    halved.  Looking up a state not seen yet joins it and stores its count.
+    """
+
+    def __init__(self, sl: int, sr: int, memo: _Transitions) -> None:
+        super().__init__()
+        # tuples: the offset pairs of the two zones
+        self.right, self.tuples = _forward((0, sr, sl), memo)
+        self.twin = memo[sr, sl].twin  # the mirror on L_{n-2}
+
+    def __missing__(self, line: _State) -> int:
+        right, steps = self.right, range(len(line) // 2)
+        count = 0
+        for x in (line, self.twin(line)):
+            start = x.index(0)
+            for y, c in right.items():
+                p = start
+                for _ in steps:
+                    q = y[p]
+                    if not q:  # the marker, before every node is visited
+                        break
+                    p = x[q - 1] - 1
+                else:
+                    count += c
+        count = self[line] = count // 2
+        return count
+
+
 class _Transitions(dict):
     """Zone transitions on relative line states, valid for every s-vector:
     {(s_{i-1}, s_i): that shape's _Zone}, each made on its first lookup.
 
-    states interns the states the zones hold and their arc pairs.
+    states interns the states the zones hold and their arc pairs, and
+    completions holds {(s_{n-2}, s_{n-1}): that shape's _Completions},
+    each made by the first walk that ends in the shape.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.states: dict[_State, _State] = {}
+        self.completions: dict[tuple[int, int], _Completions] = {}
 
     def __missing__(self, shape: tuple[int, int]) -> _Zone:
         zone = self[shape] = _Zone(*shape, self.states)
@@ -288,15 +354,12 @@ class _Transitions(dict):
 _MEMO = _Transitions()
 
 
-def _walk(interior: tuple[int, ...], memo: _Transitions) -> tuple[int, int]:
-    """(connected count, tuples examined) for the s-vector with this interior.
-
-    A forward pass over canonical line states (see the module docstring):
-    each offset of a zone is applied once per state, weighted by the number
-    of prefixes that reach the state or its mirror twin, and the
-    transitions come from memo.  A transition that closes a loop is dead.
-    """
-    s = (0, *interior, 0)
+def _forward(s: tuple[int, ...], memo: _Transitions) -> tuple[dict[_State, int], int]:
+    """({canonical state on the last line of s: prefixes}, offset tuples)
+    over the zones between the lines s, s[0] = 0: each offset of a zone is
+    applied once per state, weighted by the number of prefixes that reach
+    the state or its mirror twin, and a transition that closes a loop is
+    dead."""
     tuples = 1
     # L_0's one node is node 0 itself; its state treats it as a path to a
     # separate node 0, a pendant end that closes no loop, and is its own twin
@@ -310,7 +373,32 @@ def _walk(interior: tuple[int, ...], memo: _Transitions) -> tuple[int, int]:
                 if state is not None:
                     following[state] = following.get(state, 0) + c
         states = following
-    return sum(states.values()), tuples
+    return states, tuples
+
+
+def _walk(interior: tuple[int, ...], memo: _Transitions) -> tuple[int, int]:
+    """(connected count, tuples examined) for the s-vector with this interior.
+
+    A forward pass over canonical line states up to L_{n-2} (see the module
+    docstring), then the join: the sum of each state's prefix count times
+    its completions, the offset pairs of the last two zones that close no
+    loop (the state and its mirror twin joined against the canonical right
+    states, and halved).  memo holds the zone transitions and, per shape
+    (s_{n-2}, s_{n-1}), the completion table, made by the first walk that
+    ends in that shape.
+    """
+    # n = 1 walks as interior (0,): its one zone, and the two of (0, 0, 0),
+    # have one offset tuple, which is connected
+    s = (0, *(interior or (0,)))
+    shape = s[-2:]
+    completions = memo.completions.get(shape)
+    if completions is None:
+        completions = memo.completions[shape] = _Completions(*shape, memo)
+    states, tuples = _forward(s[:-1], memo)
+    total = 0
+    for line, c in states.items():
+        total += c * completions[line]
+    return total, tuples * completions.tuples
 
 
 def count_for_s_vector(sv: SVector) -> int:

@@ -615,6 +615,21 @@ class TestFrontierWalk:
                     (count_a_tuples(sv) + 1) // 2 for sv in row if sv.s <= sv.s[::-1]
                 ), (n, k)
 
+    def test_last_two_zones_beside_a_one_node_line(self):
+        # sl = 0 joins at a one-node L_{n-2} (for n = 2, L_0's own state),
+        # and sr = 0 leaves the closing zone a single offset
+        from braidcensus.census import _Transitions, _walk
+        from braidcensus.coords import count_a_tuples
+
+        svs = [SVector(n=2, s=(k,)) for k in range(9)]
+        svs += [SVector(n=3, s=s) for k in range(1, 9) for s in ((0, k), (k, 0))]
+        for sv in svs:
+            assert _walk(sv.s, _Transitions()) == (brute_count(sv), count_a_tuples(sv)), sv
+
+    def test_four_strands_at_sixty(self):
+        # the join's longest row here: L_2 holds up to 121 nodes
+        assert count_actual(4, 60, threads=2).g == 804140
+
     def test_six_strands_past_the_benchmark_table(self):
         # g(6, 12..14) lie past the benchmark's table; they were confirmed
         # once by enumerating prefixes one at a time, without merging
@@ -1131,15 +1146,18 @@ def reflected(state):
 
 
 class TestZoneTransitions:
-    """Every stored transition is exact, up to the vertical mirror.
+    """Every stored transition and completion count is exact, up to the
+    vertical mirror.
 
     A zone stores each next state as the lesser of it and its mirror twin,
     and steps a state with the straight arcs the offsets share applied
-    once.  Plain and pruned mode both walk that quotient, so their
-    agreement does not check it: these tests check it directly.
+    once.  A completion table joins each state against the right states
+    of the reversed last two zones, and halves the sum over the state and
+    its twin.  Plain and pruned mode both walk that quotient and join, so
+    their agreement does not check them: these tests check them directly.
     """
 
-    GRID = [(4, 12), (5, 8), (6, 6)]
+    GRID = [(3, 10), (4, 12), (5, 8), (6, 6)]
 
     @pytest.fixture(scope="class")
     def memo(self):
@@ -1152,7 +1170,8 @@ class TestZoneTransitions:
             for sv in enumerate_s_vectors(n, k)
         ]
         memo = _Transitions()
-        # L_1 has 259 nodes in one and L_2 in the other: tuple states
+        # L_1 has 259 nodes in one and L_2 in the other: tuple states, which
+        # (129, 1) joins as both its left and its right states
         for s in [*interiors, (1, 129), (129, 1)]:
             _walk(s, memo)
         return memo
@@ -1165,6 +1184,29 @@ class TestZoneTransitions:
         for shape, zone in memo.items():
             for line in zone:
                 assert line <= reflected(line), (shape, line)
+        for shape, completions in memo.completions.items():
+            for line in [*completions, *completions.right]:
+                assert line <= reflected(line), (shape, line)
+
+    def test_every_completion_count_equals_two_full_arc_steps(self, memo):
+        from braidcensus.census import _Zone
+
+        tuples = 0
+        for (sl, sr), completions in memo.completions.items():
+            first, last = _Zone(sl, sr, {}), _Zone(sr, 0, {})
+            assert completions.tuples == len(first.pairs) * len(last.pairs), (sl, sr)
+            for line, count in completions.items():
+                # the walk keys a state and its twin by one: both have this count
+                for x in (line, reflected(line)):
+                    pairs = sum(
+                        state is not None
+                        for middle in full_arc_step(first, x)
+                        if middle is not None
+                        for state in full_arc_step(last, middle)
+                    )
+                    assert pairs == count, (sl, sr, x)
+                tuples += isinstance(line, tuple)
+        assert tuples > 0
 
     def test_every_entry_equals_a_full_arc_step(self, memo):
         tuples = 0

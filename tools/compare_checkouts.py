@@ -46,11 +46,15 @@ every key that differs is printed with both values.  Probes:
   walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
                           each counted alone by census.count_for_s_vector
   memo                    a digest of every (shape, state, next states) in
-                          census._MEMO once the walk probe has filled it, with
-                          the entry count and the number of interned objects;
-                          it differs between a checkout whose entries hold
-                          canonical line states (the lesser of each state and
-                          its mirror twin) and one that stores both twins
+                          census._MEMO once the walk probe has filled it, and
+                          of every (shape, state, count) of its completion
+                          tables, with the entry, completion, right-state and
+                          interned-object counts; it differs between a
+                          checkout whose entries hold canonical line states
+                          (the lesser of each state and its mirror twin) and
+                          one that stores both twins, and between one that
+                          joins each walk's last two zones and one that
+                          steps the closing zone (s, 0)
   table                   a digest of (k, g, mode, tuples examined) per record
                           and of every progress call of count_table over
                           TABLE_GRIDS, plain and pruned, on 1 and 2 workers,
@@ -375,11 +379,20 @@ def _memo() -> dict:
         for shape, zone in census._MEMO.items()
         for line, nexts in zone.items()
     )
+    # a checkout that steps the closing zone keeps no completion tables
+    tables = getattr(census._MEMO, "completions", {})
+    completions = sorted(
+        (shape, repr(line), count)
+        for shape, table in tables.items()
+        for line, count in table.items()
+    )
     return {
         "memo": {
             "entries": len(entries),
+            "completions": len(completions),
+            "right_states": sum(len(table.right) for table in tables.values()),
             "interned": len(census._MEMO.states),
-            "digest": _digest(entries),
+            "digest": _digest([entries, completions]),
         }
     }
 
