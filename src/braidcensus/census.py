@@ -18,10 +18,10 @@ call forks a fresh one; at interpreter exit concurrent.futures joins the
 workers.  A forked child never uses its parent's pool, and a process that
 multiprocessing started shuts its pool down at the end of each call, since
 multiprocessing waits for that process's children before it exits.  One
-lock guards taking, replacing, submitting to and shutting down the pool,
-so threads may share it.  Each row's results are summed, so counts do not
-depend on scheduling; its elapsed_ms is the time the caller waited for it
-after the previous row.
+lock per process guards taking, replacing, submitting to and shutting
+down the pool, so threads may share it.  Each row's results are summed,
+so counts do not depend on scheduling; its elapsed_ms is the time the
+caller waited for it after the previous row.
 
 Within one s-vector the offsets are chosen zone by zone, left to right.
 Each zone's arcs at each offset are plain (u, v) pairs from
@@ -84,13 +84,12 @@ closed under the mirror, so a state and its twin are both joined against
 each canonical right state and the sum is halved.  The quotient roughly
 halves the states the walk and the memo hold.  States are bytes while
 the line has fewer than 256 nodes and tuples beyond; next states are
-interned.  In the calling process the memo shared by work units lives for one
-count_table or count_actual call: a fresh one is bound when the call
-starts and dropped when it ends.  A pool worker inherits the memo bound
-when it forks and keeps filling it for as long as its pool lives, across
-calls: every entry is exact for any s-vector, so counts stay exact, and
-the cost is the memory an idle worker holds.  count_for_s_vector uses a
-fresh memo.
+interned.  Each caller makes the memo it walks on: a census call that
+walks inline makes one for its units, dropped when it returns or raises,
+and count_for_s_vector one for its s-vector.  A pool worker walks on the
+module memo, empty at the fork, and fills it while its pool lives,
+across calls: every entry is exact for any s-vector, so counts stay
+exact, and the cost is the memory an idle worker holds.
 
 tuples_examined is the size of the tuple space the pass covers,
 count_a_tuples(sv), derived rather than tallied: the product of the offset
@@ -119,22 +118,23 @@ UTF-8 JSON-lines file, one object per record with keys n, k, g, mode,
 engine_version, elapsed_ms; re-running a cached query returns the stored
 count, and two stored records disagreeing on g for one (n, k) are a hard
 error.  Opening a cache validates every line, in one pass.  A line exactly
-as CensusRecord.to_json writes it (keys in its order, integers within
-int()'s digit limit, strings with no escape or control character) is read
-by one pattern match, whose fields json would decode to the same values.
-Any other line is parsed by json.loads, which raises json's own message
-for a line it rejects.  Its fields are converted, and its g is checked
-against any earlier record for the same (n, k); merging caches goes
-through the same check.  Per (n, k) the cache keeps a plain row, and
-builds a CensusRecord only when lookup or records asks for one.  Each
-append holds an exclusive lock on the file, and a merge holds it from
-its last read of the target through the rename; worker processes never
-touch the file.
+as CensusRecord.to_json writes it (keys in its order, strings with no
+escape or control character) is read by one pattern match, whose fields
+json would decode to the same values (int() raises json's error for an
+integer past its digit limit).  Any other line is parsed by json.loads,
+which raises json's own message for a line it rejects.  Its fields are
+converted, and its g is checked against any earlier record for the same
+(n, k); merging caches goes through the same check.  Per (n, k) the
+cache keeps a plain row, and builds a CensusRecord only when lookup or
+records asks for one.  Each append holds an exclusive lock on the file,
+and a merge holds it from its last read of the target through the
+rename; worker processes never touch the file.
 """
 
 from __future__ import annotations
 
 import fcntl
+import itertools
 import json
 import multiprocessing
 import os
@@ -158,18 +158,15 @@ MODE_PLAIN = "plain"
 MODE_PRUNED = "pruned"
 
 # One cache line exactly as CensusRecord.to_json writes it, newline included.
-# I is a JSON integer of at most the digits int() accepts (a longer one is
-# left to json, which raises int()'s error; {0,} when the limit is off), and
-# S a string with no escape or control character, which json would decode
-# to the text matched.
+# I is a JSON integer (int() raises json's own error for one past its digit
+# limit), and S a string with no escape or control character, which json
+# would decode to the text matched.
 _RECORD = re.compile(
     (
         r'\{"n": (I), "k": (I), "g": (I), "mode": "(S)", '
         r'"engine_version": "(S)", "elapsed_ms": (I)\}\n'
     )
-    .replace("I", r"-?(?:0|[1-9][0-9]{0,%s})" % (
-        sys.get_int_max_str_digits() - 1 if sys.get_int_max_str_digits() else ""
-    ))
+    .replace("I", r"-?(?:0|[1-9][0-9]*)")
     .replace("S", r'[^"\\\x00-\x1f]*')
 )
 
@@ -348,9 +345,8 @@ class _Transitions(dict):
         return zone
 
 
-# transitions shared by the s-vectors of one census call (see _count_rows);
-# every entry is exact for any s-vector, so calls that overlap in one
-# process, sharing it or replacing it, still get exact counts
+# a pool worker's memo, filled across calls for as long as its pool lives;
+# a calling process never fills it, so a pool forks with it empty
 _MEMO = _Transitions()
 
 
@@ -408,7 +404,7 @@ def count_for_s_vector(sv: SVector) -> int:
 
 def _worker(interior: tuple[int, ...]) -> tuple[int, int]:
     """(connected count, tuples examined) of one work unit, an interior
-    s-vector, walked on the memo bound in this process."""
+    s-vector, walked in a pool worker on its memo."""
     return _walk(interior, _MEMO)
 
 
@@ -434,15 +430,21 @@ ProgressFn = Callable[[int, int, tuple[int, ...]], None]
 
 # the worker pool this process keeps for _count_rows, and (pid of the
 # process that made it, its width); taken, replaced, submitted to and shut
-# down only under _POOL_LOCK
+# down only under the pool lock of the process, which a forked child does
+# not share: it may inherit its parent's lock held by another thread
 _pool: ProcessPoolExecutor | None = None
 _pool_key = (0, 0)
-_POOL_LOCK = threading.Lock()
+_POOL_LOCKS: dict[int, threading.Lock] = {}
+
+
+def _pool_lock() -> threading.Lock:
+    """The pool lock of this process."""
+    return _POOL_LOCKS.setdefault(os.getpid(), threading.Lock())
 
 
 def _kept_pool(width: int) -> ProcessPoolExecutor:
     """The kept pool, forked first when there is none or the kept one has
-    another width or was made by a parent process.  Hold _POOL_LOCK."""
+    another width or was made by a parent process.  Hold _pool_lock()."""
     global _pool, _pool_key
     key = (os.getpid(), width)
     if _pool is not None and _pool_key != key:
@@ -462,7 +464,7 @@ def _kept_pool(width: int) -> ProcessPoolExecutor:
 
 
 def _drop_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut pool down, and stop keeping it if it is kept.  Hold _POOL_LOCK."""
+    """Shut pool down, and stop keeping it if it is kept.  Hold _pool_lock()."""
     global _pool
     if pool is _pool:
         _pool = None
@@ -478,7 +480,6 @@ def _count_rows(
     progress: ProgressFn | None,
 ) -> list[CensusRecord]:
     """Census rows for n and each k, from one ordered map over their units."""
-    global _MEMO
     mode = MODE_PRUNED if prune else MODE_PLAIN
     workers = threads if threads is not None else default_threads()
     if workers < 1:
@@ -493,7 +494,6 @@ def _count_rows(
     pool = pooled = None
     keep = False
     records = []
-    _MEMO = _Transitions()  # workers a pool forks below inherit it as it is then
     try:
         if workers > 1 and widest > 1:
             width = min(workers, widest)
@@ -501,7 +501,7 @@ def _count_rows(
             # than that row's would be alone, so neither Ctrl-C latency nor
             # the gap between progress reports grows with the table
             chunksize = max(1, widest // (8 * workers))
-            with _POOL_LOCK:
+            with _pool_lock():
                 pool = _kept_pool(width)
                 try:
                     pooled = pool.map(_worker, units, chunksize=chunksize)
@@ -510,8 +510,8 @@ def _count_rows(
                     pool = _kept_pool(width)
                     pooled = pool.map(_worker, units, chunksize=chunksize)
             results = pooled
-        else:
-            results = map(_worker, units)
+        else:  # one memo for this call's units, dropped when it ends
+            results = map(_walk, units, itertools.repeat(_Transitions()))
         started = time.perf_counter()
         for k, record in hits.items():
             if record is None:
@@ -537,11 +537,10 @@ def _count_rows(
         # there (interpreter exit does that in any other process)
         keep = multiprocessing.parent_process() is None
     finally:
-        _MEMO = _Transitions()
         if pool is not None and not keep:  # raised, or must not keep it
             if pooled is not None:
                 pooled.close()  # cancels this call's chunks that no worker has taken
-            with _POOL_LOCK:
+            with _pool_lock():
                 _drop_pool(pool)
     return records
 

@@ -135,15 +135,15 @@ class TestTable:
 
 class TestWorkUnits:
     def test_pruned_units_keep_one_orientation(self, monkeypatch):
-        # the inline map calls the module's _worker, so this sees every unit
+        # the inline map calls the module's _walk, so this sees every unit
         received = []
-        worker = census._worker
+        walk = census._walk
 
-        def recording(interior):
+        def recording(interior, memo):
             received.append(interior)
-            return worker(interior)
+            return walk(interior, memo)
 
-        monkeypatch.setattr(census, "_worker", recording)
+        monkeypatch.setattr(census, "_walk", recording)
         for n in range(1, 7):
             plain = [s for row in interior_rows(n, range(9)).values() for s in row]
             for prune, want in ((False, plain), (True, [s for s in plain if s <= s[::-1]])):
@@ -361,7 +361,7 @@ class TestWalker:
 def _drop_kept_pool():
     from braidcensus import census
 
-    with census._POOL_LOCK:
+    with census._pool_lock():
         if census._pool is not None:
             census._drop_pool(census._pool)
 
@@ -500,6 +500,29 @@ class TestTablePool:
         assert not child.is_alive() and child.exitcode == 0
         assert got == want
         assert pool_events == [("made", 2)]
+
+    def test_a_child_forked_while_the_pool_lock_is_held_counts_and_exits(self, pool_events):
+        # the child inherits the lock held, as when another thread of the
+        # parent holds it at the fork, and must not wait for it
+        import multiprocessing
+
+        from braidcensus import census
+
+        want = count_actual(4, 3, threads=1).g
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_count_in_child, args=(queue,))
+        try:
+            with census._pool_lock():
+                child.start()
+            got = queue.get(timeout=60)
+            child.join(timeout=60)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0 and got == want
+        assert pool_events == []
 
     def test_threads_share_the_pool_and_keep_their_serial_rows(self, pool_events):
         import sys
@@ -940,7 +963,8 @@ class TestLoaderParity:
             ('"x"', "string indices"),
             ("7", "not subscriptable"),
             ('\ufeff{"n": 3, "k": 4, "g": 5}', "Unexpected UTF-8 BOM"),
-            ('{"n": 3, "k": 4, "g": 5,}', "Expecting property name"),
+            # CPython 3.13's json words this one differently
+            ('{"n": 3, "k": 4, "g": 5,}', ("Expecting property name", "Illegal trailing comma")),
             ('{"n": 3, "k": "four", "g": 5}', "invalid literal for int()"),
             (canonical(k="04", end=""), "Expecting ',' delimiter"),
             (canonical(g="1" * 5000, end=""), "Exceeds the limit"),
@@ -952,7 +976,8 @@ class TestLoaderParity:
         path = tmp_path / "c.jsonl"
         path.write_text(self.HEAD + middle + "\n" + self.TAIL, encoding="utf-8")
         want = reference_load(str(path))
-        assert isinstance(want, str) and fragment in want
+        fragments = (fragment,) if isinstance(fragment, str) else fragment
+        assert isinstance(want, str) and any(f in want for f in fragments)
         with pytest.raises(CacheConflictError) as caught:
             CensusCache(str(path))
         assert str(caught.value) == want
@@ -1055,25 +1080,60 @@ class TestTransitionMemo:
             assert _walk(s, memo) == _walk(s, _Transitions()), (n, s)
         assert memo and memo.states
 
-    def test_memo_is_dropped_when_the_table_returns(self):
-        from braidcensus import census
+    @staticmethod
+    def made_memos(monkeypatch):
+        """Weak references to every memo the census makes from now on."""
+        import weakref
 
-        sizes = []
-        count_table(5, 6, threads=1, progress=lambda d, t, s: sizes.append(len(census._MEMO)))
-        assert max(sizes) > 0
+        made = []
+
+        class Recorded(census._Transitions):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(census, "_Transitions", Recorded)
+        return made
+
+    @staticmethod
+    def assert_walking(made):
+        """The call's memo lives and holds entries; the module memo is empty."""
+        assert made and all(ref() is not None and ref() for ref in made)
         assert not census._MEMO and not census._MEMO.states
 
-    def test_memo_is_dropped_when_progress_raises(self):
-        from braidcensus import census
+    def test_memo_is_dropped_when_the_table_returns(self, monkeypatch):
+        import gc
+
+        made = self.made_memos(monkeypatch)
+        count_table(5, 6, threads=1, progress=lambda d, t, s: self.assert_walking(made))
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
+        assert not census._MEMO and not census._MEMO.states
+
+    def test_memo_is_dropped_when_progress_raises(self, monkeypatch):
+        import gc
+
+        made = self.made_memos(monkeypatch)
 
         def progress(done, total, s):
+            self.assert_walking(made)
             if sum(s) == 4 and done == 2:
-                assert census._MEMO
                 raise RuntimeError("stop")
 
         with pytest.raises(RuntimeError, match="stop"):
             count_table(5, 6, threads=1, progress=progress)
+        gc.collect()
+        assert made and all(ref() is None for ref in made)
         assert not census._MEMO and not census._MEMO.states
+
+    def test_calls_leave_the_module_memo_empty(self, pool_events):
+        # inline calls walk on a memo of their own, and pooled ones in workers
+        for threads in (1, 2):
+            count_table(4, 6, threads=threads)
+            count_actual(4, 3, threads=threads)
+            count_actual(5, 2, threads=threads, prune=True)
+            assert not census._MEMO and not census._MEMO.states, threads
+        assert pool_events == [("made", 2)]
 
     @pytest.mark.parametrize("prune", [False, True])
     def test_lines_longer_than_a_byte_can_number(self, prune):
@@ -1089,9 +1149,8 @@ class TestTransitionMemo:
             assert record.tuples_examined == sum(map(count_a_tuples, svs))
 
     def test_overlapping_calls_in_one_process_stay_exact(self):
-        # each call binds its own memo, and a call that overlaps it may
-        # replace that memo while it walks: every entry is exact for any
-        # s-vector, so both rows keep their serial results
+        # each call walks on a memo of its own, which no overlapping call
+        # can reach, so both rows keep their serial results
         import threading
         import time
 

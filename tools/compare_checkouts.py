@@ -36,17 +36,16 @@ every key that differs is printed with both values.  Probes:
                           and theta_is_cyclic for 1 <= k < l <= 20, b3_actual
                           for k, l <= 8 and every offset, and the series
                           coefficients 0..400 of G2, G3, B2 and B3
-  walk:plain|pruned       a digest of (n, s, g, tuples examined) per s-vector
+  walk:plain              a digest of (n, s, g, tuples examined) per s-vector
                           of WALK_ROWS, each walked once by
-                          census._walk(s, census._MEMO) in one process, so a
-                          checkout that shares zone transitions across
-                          s-vectors shares them across the whole grid; the
-                          pruned digest halves each examined count to
-                          (examined + 1) // 2, as a pruned census reports it
+                          census._walk(s, memo) on one census._Transitions()
+                          that the probe makes, so a checkout that shares
+                          zone transitions across s-vectors shares them
+                          across the whole grid
   walk:single             a digest of (n, s, g) per s-vector of SINGLE_ROWS,
                           each counted alone by census.count_for_s_vector
   memo                    a digest of every (shape, state, next states) in
-                          census._MEMO once the walk probe has filled it, and
+                          the memo once the walk probe has filled it, and
                           of every (shape, state, count) of its completion
                           tables, with the entry, completion, right-state and
                           interned-object counts; it differs between a
@@ -81,6 +80,7 @@ Exit status: 0 when every probe agrees, 1 otherwise.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -339,24 +339,21 @@ def _closedforms() -> dict:
     return {"closedforms": {"values": len(values), "digest": _digest(values)}}
 
 
-def _walks() -> dict:
+def _walks(memo) -> dict:
     from braidcensus import census, coords
 
     out = {}
     walks = [
-        (n, sv.s, *census._walk(sv.s, census._MEMO))
+        (n, sv.s, *census._walk(sv.s, memo))
         for n, kmax, kmin in WALK_ROWS
         for k in range(kmin, kmax + 1)
         for sv in coords.enumerate_s_vectors(n, k)
     ]
-    # a pruned census reports a mirror pair of offset tuples once
-    pruned = [(n, s, g, (examined + 1) // 2) for n, s, g, examined in walks]
-    for mode, rows in ((census.MODE_PLAIN, walks), (census.MODE_PRUNED, pruned)):
-        out[f"walk:{mode}"] = {
-            "walks": len(rows),
-            "g": sum(w[2] for w in rows),
-            "digest": _digest(rows),
-        }
+    out["walk:plain"] = {
+        "walks": len(walks),
+        "g": sum(w[2] for w in walks),
+        "digest": _digest(walks),
+    }
     singles = [
         (n, sv.s, census.count_for_s_vector(sv))
         for n, kmax in SINGLE_ROWS
@@ -371,16 +368,14 @@ def _walks() -> dict:
     return out
 
 
-def _memo() -> dict:
-    from braidcensus import census
-
+def _memo(memo) -> dict:
     entries = sorted(
         (shape, repr(line), repr(nexts))
-        for shape, zone in census._MEMO.items()
+        for shape, zone in memo.items()
         for line, nexts in zone.items()
     )
     # a checkout that steps the closing zone keeps no completion tables
-    tables = getattr(census._MEMO, "completions", {})
+    tables = getattr(memo, "completions", {})
     completions = sorted(
         (shape, repr(line), count)
         for shape, table in tables.items()
@@ -391,7 +386,7 @@ def _memo() -> dict:
             "entries": len(entries),
             "completions": len(completions),
             "right_states": sum(len(table.right) for table in tables.values()),
-            "interned": len(census._MEMO.states),
+            "interned": len(memo.states),
             "digest": _digest([entries, completions]),
         }
     }
@@ -507,10 +502,13 @@ def _cli_outputs() -> dict:
 
 
 def probe() -> None:
+    from braidcensus import census
+
     results = _verify_outputs()
+    memo = census._Transitions()  # filled by the walk probe, read by the memo probe
     parts = (
-        _cli_outputs, _faults, _nesting, _graphs, _svg, _svectors, _closedforms, _walks, _memo,
-        _tables, _calls, _cache,
+        _cli_outputs, _faults, _nesting, _graphs, _svg, _svectors, _closedforms,
+        functools.partial(_walks, memo), functools.partial(_memo, memo), _tables, _calls, _cache,
     )
     for part in parts:
         results.update(part())
